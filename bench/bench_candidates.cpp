@@ -3,15 +3,15 @@
 // Runs the edges-structure annealing search over two deep-tree Table-3
 // kernels twice:
 //
-//   modern — the shipping pipeline: memo table + arena-backed delta hashing
-//            + batched neighbor priming + incrementally maintained action
-//            index + arena rebase-on-accept (SearchConfig defaults)
-//   noindex— modern minus the accepted-move path: action index and rebase
-//            off, so every acceptance re-enumerates allActions and rebinds
-//            the delta context from scratch
-//   legacy — the minimal copy pipeline: the same memo table, but every
-//            candidate priced by apply-copying the tree and re-rendering its
-//            canonical text (use_delta/use_arena/batch_neighbors off)
+//   modern — the shipping pipeline (search::runSearch): memo table +
+//            arena-backed delta hashing + incrementally maintained action
+//            index + arena rebase-on-accept
+//   legacy — the copy pipeline, kept in this file as the reference: the
+//            same memo table, but every candidate priced by apply-copying
+//            the tree and re-rendering its canonical text, and every
+//            accepted state re-enumerated with allActions. It makes exactly
+//            the decisions of the modern leg (same draws, acceptance rule
+//            and restart rule), which measure() checks on every run
 //
 // A fourth leg times neighbor *enumeration* alone — actions/sec along a
 // deterministic accepted-move trajectory, maintained ActionSet splices vs
@@ -26,8 +26,8 @@
 // here as *bounded overhead*, not as a wall-clock multiple. The gated metric
 // is that bound: modern_wall / legacy_wall may not drift above the
 // checked-in ratio by more than the band. A pricing-stack regression (a
-// rebind that went quadratic, a probe that started re-rendering, priming
-// running away) lands directly on this ratio, and a ratio of two same-host
+// rebase that went quadratic, a probe that started re-rendering) lands
+// directly on this ratio, and a ratio of two same-host
 // timings is host-speed independent, so a slow CI runner cannot fake a pass
 // or a fail.
 //
@@ -41,15 +41,19 @@
 //                    [--check bench/BENCH_candidates_baseline.json]
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "ir/canonical.h"
 #include "ir/incremental.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
+#include "search/evalcache.h"
 #include "search/search.h"
 #include "support/rng.h"
 #include "support/telemetry.h"
@@ -75,29 +79,97 @@ search::SearchConfig modernConfig() {
   cfg.max_steps = 64;  // deep walks: realistic tree sizes for the rehash
   cfg.seed = 7;
   cfg.threads = 1;  // cost of the pricing path itself, not pool scheduling
-  return cfg;       // cache + delta + arena + batching: the defaults
-}
-
-search::SearchConfig noIndexConfig() {
-  auto cfg = modernConfig();
-  cfg.use_action_index = false;  // re-enumerate allActions per acceptance
-  cfg.use_rebase = false;        // rebind the delta context per acceptance
   return cfg;
 }
 
-search::SearchConfig legacyConfig() {
-  auto cfg = noIndexConfig();
-  cfg.use_delta = false;  // memo stays on; pricing falls back to apply-copy
-  cfg.use_arena = false;
-  cfg.batch_neighbors = false;
-  return cfg;
+/// Outcome of one copy-pipeline run, in the terms the divergence check and
+/// the timing compare against the modern leg's SearchResult.
+struct CopyRun {
+  int evals = 0;
+  double best_runtime = 1e300;
+  double wall_ms = 0;
+};
+
+/// The edges annealer on the copy pipeline: candidates are apply-copied,
+/// hashed by a full canonical re-render (ir::canonicalHash) and priced
+/// through an EvalCache; every accepted state is re-enumerated with
+/// transform::allActions. Decisions mirror search::runSearch exactly — one
+/// uniform draw per proposal over the state's actions, search::saAccept,
+/// geometric cooling per evaluation, restart from the kernel at max_steps
+/// or on a dead end, and a per-state memo of each action's cost — so the
+/// evals and best cost must match the modern leg bit for bit.
+CopyRun copyPipelineAnneal(const ir::Program& kernel,
+                           const machines::Machine& m,
+                           const search::SearchConfig& cfg) {
+  constexpr double kPending = -1.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  search::EvalCache cache;
+  auto price = [&](const ir::Program& p) {
+    const std::uint64_t h = ir::canonicalHash(p);
+    double v;
+    if (cache.lookup(m, h, v)) return v;
+    v = m.evaluate(p);
+    cache.insert(m, h, v);
+    return v;
+  };
+  CopyRun run;
+  ir::Program best;
+  auto record = [&](const ir::Program& p, double rt) {
+    ++run.evals;
+    if (std::isfinite(rt) && rt >= 0 && rt < run.best_runtime) {
+      run.best_runtime = rt;
+      best = p;
+    }
+  };
+  Rng rng(cfg.seed);
+  ir::Program cur = kernel;
+  double cur_rt = price(cur);
+  const double base_rt = cur_rt;
+  record(cur, cur_rt);
+  double temp = cfg.sa_t0;
+  int steps = 0;
+  std::vector<transform::Action> actions = transform::allActions(cur, m.caps());
+  std::vector<double> action_cost(actions.size(), kPending);
+  while (run.evals < cfg.budget) {
+    if (actions.empty() || steps >= cfg.max_steps) {
+      cur = kernel;
+      cur_rt = base_rt;
+      steps = 0;
+      actions = transform::allActions(cur, m.caps());
+      action_cost.assign(actions.size(), kPending);
+      if (actions.empty()) break;
+      continue;
+    }
+    const std::size_t ai = rng.uniform(actions.size());
+    double rt = action_cost[ai];
+    std::optional<ir::Program> cand;
+    if (rt == kPending) {
+      cand = actions[ai].apply(cur);
+      rt = price(*cand);
+      action_cost[ai] = rt;
+      record(*cand, rt);
+    } else {
+      ++run.evals;  // a re-drawn action cannot improve on the best
+    }
+    if (search::saAccept((rt - cur_rt) / base_rt, temp, rng)) {
+      cur = cand ? std::move(*cand) : actions[ai].apply(cur);
+      cur_rt = rt;
+      ++steps;
+      actions = transform::allActions(cur, m.caps());
+      action_cost.assign(actions.size(), kPending);
+    }
+    temp *= cfg.sa_decay;  // decays once per recorded evaluation
+  }
+  run.wall_ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+  return run;
 }
 
 struct Measurement {
   std::vector<std::string> kernels;
   std::int64_t candidates = 0;  // per pipeline, summed over kernels
   double modern_ms = 0;         // median wall, summed over kernels
-  double noindex_ms = 0;
   double legacy_ms = 0;
   // Enumeration leg: actions enumerated along the accepted-move trajectory,
   // spliced vs re-enumerated (identical counts by the element-identity
@@ -109,10 +181,6 @@ struct Measurement {
     return modern_ms > 0 ? 1e3 * static_cast<double>(candidates) / modern_ms
                          : 0;
   }
-  double noindex_cps() const {
-    return noindex_ms > 0 ? 1e3 * static_cast<double>(candidates) / noindex_ms
-                          : 0;
-  }
   double legacy_cps() const {
     return legacy_ms > 0 ? 1e3 * static_cast<double>(candidates) / legacy_ms
                          : 0;
@@ -121,11 +189,6 @@ struct Measurement {
   /// analytic models. Lower is better; 1.0 is parity.
   double overhead() const {
     return legacy_ms > 0 && modern_ms > 0 ? modern_ms / legacy_ms : 0;
-  }
-  /// End-to-end win of the accepted-move path: index+rebase off over on.
-  /// Higher is better; 1.0 is parity.
-  double indexRatio() const {
-    return modern_ms > 0 && noindex_ms > 0 ? noindex_ms / modern_ms : 0;
   }
   /// Enumeration-only win: full re-enumeration wall over spliced wall.
   double enumSpeedup() const {
@@ -186,38 +249,27 @@ Measurement measure() {
       std::exit(2);
     }
     const ir::Program p = k->build();
-    const auto modern_cfg = modernConfig();
-    const auto noindex_cfg = noIndexConfig();
-    const auto legacy_cfg = legacyConfig();
-    // Warm-up all pipelines, and take the candidate count from the warm-up
+    const auto cfg = modernConfig();
+    // Warm-up both pipelines, and take the candidate count from the warm-up
     // (bit-identical across reps and pipelines by the determinism contract).
-    const auto warm_modern = search::runSearch(p, m, modern_cfg);
-    const auto warm_noindex = search::runSearch(p, m, noindex_cfg);
-    const auto warm_legacy = search::runSearch(p, m, legacy_cfg);
-    if (warm_modern.stats.evals_requested !=
-            warm_legacy.stats.evals_requested ||
-        warm_modern.stats.evals_requested !=
-            warm_noindex.stats.evals_requested ||
-        warm_modern.best_runtime != warm_legacy.best_runtime ||
-        warm_modern.best_runtime != warm_noindex.best_runtime) {
-      std::fprintf(stderr, "pipeline divergence on %s: %lld vs %lld vs %lld "
-                   "evals\n",
-                   label.c_str(),
-                   static_cast<long long>(warm_modern.stats.evals_requested),
-                   static_cast<long long>(warm_noindex.stats.evals_requested),
-                   static_cast<long long>(warm_legacy.stats.evals_requested));
+    const auto warm_modern = search::runSearch(p, m, cfg);
+    const auto warm_legacy = copyPipelineAnneal(p, m, cfg);
+    if (warm_modern.evals != warm_legacy.evals ||
+        warm_modern.best_runtime != warm_legacy.best_runtime) {
+      std::fprintf(stderr, "pipeline divergence on %s: %d vs %d evals, "
+                   "best %.17g vs %.17g\n",
+                   label.c_str(), warm_modern.evals, warm_legacy.evals,
+                   warm_modern.best_runtime, warm_legacy.best_runtime);
       std::exit(2);
     }
     mm.candidates += warm_modern.stats.evals_requested;
 
-    std::vector<double> modern_s, noindex_s, legacy_s;
+    std::vector<double> modern_s, legacy_s;
     for (int rep = 0; rep < kReps; ++rep) {
-      modern_s.push_back(search::runSearch(p, m, modern_cfg).stats.wall_ms);
-      noindex_s.push_back(search::runSearch(p, m, noindex_cfg).stats.wall_ms);
-      legacy_s.push_back(search::runSearch(p, m, legacy_cfg).stats.wall_ms);
+      modern_s.push_back(search::runSearch(p, m, cfg).stats.wall_ms);
+      legacy_s.push_back(copyPipelineAnneal(p, m, cfg).wall_ms);
     }
     mm.modern_ms += median(modern_s);
-    mm.noindex_ms += median(noindex_s);
     mm.legacy_ms += median(legacy_s);
 
     const std::int64_t indexed_actions =
@@ -243,13 +295,10 @@ std::string toJson(const Measurement& m) {
     os << (i ? "," : "") << '"' << m.kernels[i] << '"';
   os << "],\"candidates\":" << m.candidates
      << ",\"modern_wall_ms\":" << m.modern_ms
-     << ",\"noindex_wall_ms\":" << m.noindex_ms
      << ",\"legacy_wall_ms\":" << m.legacy_ms
      << ",\"modern_candidates_per_sec\":" << m.modern_cps()
-     << ",\"noindex_candidates_per_sec\":" << m.noindex_cps()
      << ",\"legacy_candidates_per_sec\":" << m.legacy_cps()
      << ",\"overhead_ratio\":" << m.overhead()
-     << ",\"index_ratio\":" << m.indexRatio()
      << ",\"enum_actions\":" << m.enum_actions
      << ",\"enum_indexed_ms\":" << m.enum_indexed_ms
      << ",\"enum_full_ms\":" << m.enum_full_ms
@@ -330,12 +379,9 @@ int main(int argc, char** argv) {
               static_cast<long long>(m.candidates), m.kernels.size());
   std::printf("modern  %10.1f ms  %12.0f candidates/sec\n", m.modern_ms,
               m.modern_cps());
-  std::printf("noindex %10.1f ms  %12.0f candidates/sec\n", m.noindex_ms,
-              m.noindex_cps());
   std::printf("legacy  %10.1f ms  %12.0f candidates/sec\n", m.legacy_ms,
               m.legacy_cps());
   std::printf("overhead %.2fx (modern wall / legacy wall)\n", m.overhead());
-  std::printf("index    %.2fx (noindex wall / modern wall)\n", m.indexRatio());
   std::printf("enum    %10.1f ms indexed vs %10.1f ms full  %12.0f "
               "actions/sec  %.2fx\n",
               m.enum_indexed_ms, m.enum_full_ms,

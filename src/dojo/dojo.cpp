@@ -22,8 +22,6 @@ double Dojo::evaluate(const ir::Program& p) const {
 }
 
 std::vector<transform::Action> Dojo::moves() const {
-  if (!transform::ActionSet::defaultEnabled())
-    return transform::allActions(program(), machine_->caps());
   if (!moves_fresh_) {
     moves_index_.bind(program(), machine_->caps());
     moves_fresh_ = true;

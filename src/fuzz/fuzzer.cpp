@@ -6,6 +6,7 @@
 #include <optional>
 #include <set>
 
+#include "ir/arena.h"
 #include "ir/canonical.h"
 #include "ir/incremental.h"
 #include "kernels/kernels.h"
@@ -66,54 +67,48 @@ OracleReport actionSetFailure(std::size_t step_index, const std::string& what) {
   return r;
 }
 
-/// The arena-vs-heap delta oracle: price the (base, action) pair through
-/// BOTH DeltaContext backends and demand bit-identity with the full
-/// copy-based canonical hash of the applied result. `full_hash` is the
-/// caller's already-computed canonicalHash(action.apply(base)).
+/// The delta oracle: price the (base, action) pair in place through a
+/// DeltaContext and demand bit-identity with the full copy-based canonical
+/// hash of the applied result. `full_hash` is the caller's already-computed
+/// canonicalHash(action.apply(base)).
 OracleReport checkArenaDelta(const ir::Program& base,
                              const transform::Action& a,
                              std::uint64_t full_hash,
                              std::size_t step_index) {
   OracleReport r;
-  for (const bool use_arena : {true, false}) {
-    search::DeltaContext dctx;
-    dctx.setUseArena(use_arena);
-    dctx.bind(base);
-    std::uint64_t h = 0;
-    std::string what;
-    try {
-      h = dctx.neighborHash(a);
-    } catch (const Error& e) {
-      // The copy-based apply succeeded (full_hash exists), so an in-place
-      // refusal is a backend divergence, not an apply-layer finding.
-      what = std::string("neighborHash threw: ") + e.what();
-    }
-    if (what.empty() && h == full_hash) continue;
-    r.ok = false;
-    r.layer = OracleLayer::ArenaDelta;
-    r.detail = "step " + std::to_string(step_index) + " (" +
-               (use_arena ? "arena" : "line-cache") + " backend): " +
-               (what.empty() ? "delta hash " + std::to_string(h) +
-                                   " != full canonical hash " +
-                                   std::to_string(full_hash)
-                             : what);
-    return r;
+  search::DeltaContext dctx;
+  dctx.bind(base);
+  std::uint64_t h = 0;
+  std::string what;
+  try {
+    h = dctx.neighborHash(a);
+  } catch (const Error& e) {
+    // The copy-based apply succeeded (full_hash exists), so an in-place
+    // refusal is a pricing-path divergence, not an apply-layer finding.
+    what = std::string("neighborHash threw: ") + e.what();
   }
+  if (what.empty() && h == full_hash) return r;
+  r.ok = false;
+  r.layer = OracleLayer::ArenaDelta;
+  r.detail = "step " + std::to_string(step_index) + ": " +
+             (what.empty() ? "delta hash " + std::to_string(h) +
+                                 " != full canonical hash " +
+                                 std::to_string(full_hash)
+                           : what);
   return r;
 }
 
 /// Replays `steps` and runs the oracle on the result; replay failures come
 /// back as OracleLayer::Apply. Shared by runWitness and finding finalization.
-/// The replay is incremental — each step mutates in place and feeds its
-/// MutationSummary to an IncrementalCanonical — so incremental-hash witnesses
+/// The replay is incremental — each step mutates in place and rebases a
+/// CanonicalArena from its MutationSummary — so incremental-hash witnesses
 /// reproduce the exact maintenance path that diverged during the walk.
 OracleReport reportForSteps(const ir::Program& original,
                             const std::vector<Step>& steps,
                             const CapsProfile& prof,
                             const OracleOptions& opts) {
   ir::Program q = original;
-  ir::IncrementalCanonical inc;
-  inc.rebuild(q);
+  ir::CanonicalArena arena(q);
   // Replays bind against the standard library: a mutation mis-report that
   // staled an injected walk's index also stales the standard transforms'
   // lists, so action-set witnesses reproduce without the injection hook.
@@ -128,7 +123,7 @@ OracleReport reportForSteps(const ir::Program& original,
     } catch (const Error& e) {
       return applyFailure(i, e.what());
     }
-    inc.update(q, mut);
+    arena.rebase(q, mut);
     if (opts.check_action_set) {
       aset.update(q, mut);
       std::string detail;
@@ -141,7 +136,7 @@ OracleReport reportForSteps(const ir::Program& original,
     }
   }
   search::EvalCache cache;
-  const std::uint64_t h = inc.hash();
+  const std::uint64_t h = arena.hash();
   return checkOracle(original, q, *prof.machine, &cache, opts, &h);
 }
 
@@ -163,8 +158,7 @@ TrajectoryOutcome walkOne(const ir::Program& original, const CapsProfile& prof,
   // oracle call cross-checks it against a full re-render (the
   // incremental-hash layer), so an under-reporting MutationSummary anywhere
   // in the transform library surfaces as a finding.
-  ir::IncrementalCanonical inc;
-  inc.rebuild(p);
+  ir::CanonicalArena arena(p);
   // The action-set layer maintains an incrementally spliced index across the
   // same walk (bound against the injected library — unknown transforms get
   // the always-full policy, so the lies it catches are in the standard
@@ -186,14 +180,14 @@ TrajectoryOutcome walkOne(const ir::Program& original, const CapsProfile& prof,
       out.report = applyFailure(out.steps.size() - 1, e.what());
       return out;
     }
-    inc.update(q, mut);
+    arena.rebase(q, mut);
     ++stats.oracle_checks;
-    const std::uint64_t h = inc.hash();
+    const std::uint64_t h = arena.hash();
     out.report = checkOracle(original, q, *prof.machine, &cache, opts, &h);
     if (!out.report.ok) return out;
     if (opts.check_arena) {
-      // Arena-vs-heap layer: the same walk, priced through both delta
-      // backends, must produce the hash the copy path just produced.
+      // Arena-delta layer: the same step, priced in place through the delta
+      // context, must produce the hash the copy path just produced.
       out.report = checkArenaDelta(p, a, ir::canonicalHash(q),
                                    out.steps.size() - 1);
       if (!out.report.ok) return out;

@@ -1,11 +1,9 @@
 // Arena-flattened canonical form of one program: the allocation-free hot
-// path of delta candidate hashing.
-//
-// IncrementalCanonical (ir/incremental.h) caches one rendered canonical line
-// per NodeId in an unordered_map<NodeId, std::string> and re-streams every
-// line through FNV on each probe — correct, but the per-node map lookup, the
-// per-line hash call and the node-granular recursion dominate once rendering
-// itself is cached. CanonicalArena removes all three:
+// path of delta candidate hashing, and the one incrementally maintained
+// canonical form in the library (search::DeltaContext, transform::History,
+// the fuzzer's incremental-hash layer). A per-node line cache would pay a
+// map lookup, a hash call and a recursion step per node on every probe even
+// once rendering is cached; the arena avoids all three:
 //
 //   * bind() flattens the tree once into dense pre-order structure-of-arrays
 //     storage: per-slot NodeId, subtree interval, parent slot, depth, and the

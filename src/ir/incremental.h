@@ -1,37 +1,29 @@
-// Incremental canonical hashing: a per-node cache of rendered canonical-text
-// lines, keyed by stable NodeId, that lets canonicalHash be recomputed after
-// a localized mutation without re-rendering the whole tree.
+// The mutation report every in-place transform hands to the incremental
+// consumers of a program: the canonical-form arena (ir::CanonicalArena
+// probe/rebase), the delta pricing context (search::DeltaContext) and the
+// maintained action index (transform::ActionSet).
 //
 // FNV-1a is sequential over bytes, so the canonical hash cannot be composed
 // from independent child hashes while staying bit-identical to
 // fnv1a(canonicalText(p)) — and bit identity is non-negotiable: memo tables,
-// witness files and telemetry traces all key on that exact value. What *can*
-// be cached per subtree is the expensive part: the rendered text. update()
-// re-renders only the lines inside reported-dirty subtrees (plus the header
-// when buffers changed) and streams every line — cached or fresh — through
-// FNV in pre-order. Rendering (index-expression formatting, string
-// assembly) dominates canonicalHash by a wide margin, so a one-site
-// transform costs O(dirty subtree) rendering plus an O(n) hash sweep of
-// already-rendered lines, instead of a full program copy + buffer sort +
-// full re-render.
+// witness files and telemetry traces all key on that exact value. What the
+// summary buys is knowing which rendered lines are still valid, so only the
+// reported-dirty subtrees (plus the header when buffers changed) re-render.
 //
 // The invariant enforced by the property tests and the fuzzer's
 // incremental-hash oracle layer:
-//   hash() == fnv1a(canonicalText(p))   after every rebuild()/update().
+//   CanonicalArena::rebase(q, mut).hash() == fnv1a(canonicalText(q))
+// for every mutation p -> q a transform reports.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/program.h"
 
 namespace perfdojo::ir {
 
-/// What a transform reports about the mutation it performed, consumed by
-/// IncrementalCanonical::update. Default-constructed it claims everything
-/// changed — always safe, never fast.
+/// What a transform reports about the mutation it performed. Default-
+/// constructed it claims everything changed — always safe, never fast.
 ///
 /// Contract for a non-conservative summary: every reported dirty id must
 /// name a node that exists in BOTH the pre- and post-mutation program with
@@ -53,60 +45,6 @@ struct MutationSummary {
     m.buffers_changed = false;
     return m;
   }
-};
-
-/// Incrementally maintained canonical form of one program. Bind with
-/// rebuild(), then after each mutation call update() with the mutation's
-/// summary; hash() is bit-identical to canonicalHash of the current program.
-class IncrementalCanonical {
- public:
-  IncrementalCanonical() = default;
-  explicit IncrementalCanonical(const Program& p) { rebuild(p); }
-
-  bool bound() const { return bound_; }
-
-  /// Re-renders everything from scratch (also the recovery path for a
-  /// conservative MutationSummary).
-  void rebuild(const Program& p);
-
-  /// Brings the cache and hash in sync with `p` after a mutation described
-  /// by `mut`. Lines of nodes outside the dirty subtrees are reused from the
-  /// cache; ids that vanished are pruned automatically (the line map is
-  /// rebuilt from the live tree on every update).
-  void update(const Program& p, const MutationSummary& mut);
-
-  /// fnv1a(canonicalText(p)) for the last program passed to
-  /// rebuild()/update().
-  std::uint64_t hash() const { return hash_; }
-
-  /// fnv1a(canonicalText(p)) for a program mutated *away from* the bound one
-  /// as described by `mut`, computed without committing anything: cached
-  /// lines serve the clean regions, dirty regions render on the fly and are
-  /// discarded. One tree walk, zero cache mutations — the hot path of delta
-  /// candidate hashing, where the caller undoes the mutation right after and
-  /// this instance must keep describing the base program.
-  std::uint64_t probe(const Program& p, const MutationSummary& mut) const;
-
-  /// Reassembles the canonical text from the cached lines by walking `p`
-  /// (which must be the program this instance is in sync with). Test /
-  /// debugging aid: equal to canonicalText(p) whenever the cache is valid.
-  std::string text(const Program& p) const;
-
-  /// Number of cached node lines (== live node count minus the root).
-  std::size_t cachedLines() const { return lines_.size(); }
-
- private:
-  void walk(const Node& n, int depth, std::vector<NodeId>& chain, bool dirty,
-            const std::vector<NodeId>& dirty_roots,
-            std::unordered_map<NodeId, std::string>& fresh, std::uint64_t& h);
-  void probeWalk(const Node& n, int depth, std::vector<NodeId>& chain,
-                 bool dirty, const std::vector<NodeId>& dirty_roots,
-                 std::uint64_t& h) const;
-
-  std::string header_;
-  std::unordered_map<NodeId, std::string> lines_;
-  std::uint64_t hash_ = 0;
-  bool bound_ = false;
 };
 
 }  // namespace perfdojo::ir

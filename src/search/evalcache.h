@@ -51,8 +51,8 @@ class EvalCache {
 
   /// Differential-testing hook (the fuzzer's cache-consistency oracle layer):
   /// hashes `p` through both canonical-hash implementations — the monolithic
-  /// full-text render and a from-scratch incremental rebuild — and checks
-  /// they agree bit-for-bit; checks that any memoized cost for it matches a
+  /// full-text render and a from-scratch canonical-form arena bind — and
+  /// checks they agree bit-for-bit; checks that any memoized cost for it matches a
   /// fresh machine-model evaluation. A divergence means a hash-implementation
   /// split, a canonical-hash collision between programs with different costs,
   /// or a non-pure machine model — all of which silently corrupt every search

@@ -22,13 +22,6 @@ double nodeCost(const machines::Machine& m, EvalCache* cache,
   return cache ? cache->evaluateHashed(m, hash, p) : m.evaluate(p);
 }
 
-/// A candidate child produced by the apply phase, before deduplication.
-struct Candidate {
-  ir::Program program;
-  std::uint64_t hash = 0;
-  std::string label;
-};
-
 }  // namespace
 
 TransformationGraph::TransformationGraph(const ir::Program& root,
@@ -36,7 +29,6 @@ TransformationGraph::TransformationGraph(const ir::Program& root,
                                          int max_depth, std::size_t max_nodes,
                                          EvalCache* cache,
                                          ParallelEvaluator* pool,
-                                         bool use_delta,
                                          const PriorModel* prior,
                                          int prior_topk) {
   root_hash_ = ir::canonicalHash(root);
@@ -51,9 +43,8 @@ TransformationGraph::TransformationGraph(const ir::Program& root,
   // from its mutation summary — one full enumeration per PARENT instead of
   // one per node. `via` remembers which (parent, action) produced each
   // enqueued node; the maintained lists are element-identical to a fresh
-  // allActions, so the expansion order and the dedup sequence are
-  // bit-identical with the index on or off.
-  const bool use_index = transform::ActionSet::defaultEnabled();
+  // allActions, so the expansion order and the dedup sequence are those of
+  // a re-enumerating expansion.
   transform::ActionSet parent_set;
   std::uint64_t parent_set_key = 0;
   std::unordered_map<std::uint64_t, std::pair<std::uint64_t, transform::Action>>
@@ -66,32 +57,27 @@ TransformationGraph::TransformationGraph(const ir::Program& root,
     const int depth = n.depth;
     // Copy the program out: expanding mutates the node map.
     const ir::Program p = n.program;
-    std::vector<transform::Action> own_actions;
-    if (use_index) {
-      const auto vit = via.find(h);
-      if (vit != via.end()) {
-        const std::uint64_t qh = vit->second.first;
-        if (!parent_set.bound() || parent_set_key != qh) {
-          parent_set.bind(nodes_.at(qh).program, m.caps());
-          parent_set_key = qh;
-        }
-        // apply() assigns ids deterministically from the same parent, so
-        // the replayed summary's ids match the stored program `p` exactly.
-        aset = parent_set;
-        ir::Program scratch = nodes_.at(qh).program;
-        ir::MutationSummary mut;
-        vit->second.second.transform->applyInPlace(
-            scratch, vit->second.second.loc, &mut, /*validate=*/false);
-        aset.update(p, mut);
-        via.erase(vit);
-      } else {
-        aset.bind(p, m.caps());
+    const auto vit = via.find(h);
+    if (vit != via.end()) {
+      const std::uint64_t qh = vit->second.first;
+      if (!parent_set.bound() || parent_set_key != qh) {
+        parent_set.bind(nodes_.at(qh).program, m.caps());
+        parent_set_key = qh;
       }
+      // apply() assigns ids deterministically from the same parent, so the
+      // replayed summary's ids match the stored program `p` exactly.
+      aset = parent_set;
+      ir::Program scratch = nodes_.at(qh).program;
+      ir::MutationSummary mut;
+      vit->second.second.transform->applyInPlace(
+          scratch, vit->second.second.loc, &mut, /*validate=*/false);
+      aset.update(p, mut);
+      via.erase(vit);
     } else {
-      own_actions = transform::allActions(p, m.caps());
+      aset.bind(p, m.caps());
     }
-    const std::vector<transform::Action>& enumerated =
-        use_index ? aset.actions() : own_actions;
+    const std::vector<transform::Action>& enumerated = aset.actions();
+    delta.bind(p);
 
     // Prior gate (expansion-side): score each child's canonical text and
     // keep only the top-k best-predicted actions; the pruned ones are never
@@ -102,19 +88,12 @@ TransformationGraph::TransformationGraph(const ir::Program& root,
                       enumerated.size() > static_cast<std::size_t>(prior_topk);
     if (gate) {
       std::vector<double> scores(enumerated.size());
-      if (use_delta) {
-        delta.bind(p);
-        for (std::size_t i = 0; i < enumerated.size(); ++i)
-          delta.neighborVisit(enumerated[i],
-                              [&](std::uint64_t, const ir::Program& q) {
-                                scores[i] = prior->predict(
-                                    prior->features(ir::canonicalText(q)));
-                              });
-      } else {
-        for (std::size_t i = 0; i < enumerated.size(); ++i)
-          scores[i] = prior->predict(
-              prior->features(ir::canonicalText(enumerated[i].apply(p))));
-      }
+      for (std::size_t i = 0; i < enumerated.size(); ++i)
+        delta.neighborVisit(enumerated[i],
+                            [&](std::uint64_t, const ir::Program& q) {
+                              scores[i] = prior->predict(
+                                  prior->features(ir::canonicalText(q)));
+                            });
       const auto keep =
           PriorModel::topK(scores, static_cast<std::size_t>(prior_topk));
       kept_actions.reserve(keep.size());
@@ -125,72 +104,39 @@ TransformationGraph::TransformationGraph(const ir::Program& root,
     const std::vector<transform::Action>& actions =
         gate ? kept_actions : enumerated;
 
-    // Phase 1: identify every child by canonical hash + edge label. The
-    // delta path hashes each action in place against `p` (no tree copies;
-    // DeltaContext is inherently serial); the copy path applies + hashes
-    // concurrently (applies are pure, value-semantic).
-    std::vector<Candidate> cands(actions.size());
-    if (use_delta) {
-      delta.bind(p);
-      for (std::size_t i = 0; i < cands.size(); ++i) {
-        cands[i].hash = delta.neighborHash(actions[i]);
-        cands[i].label = actions[i].describe(p);
-      }
-    } else {
-      auto expand = [&](std::size_t i) {
-        cands[i].program = actions[i].apply(p);
-        cands[i].hash = ir::canonicalHash(cands[i].program);
-        cands[i].label = actions[i].describe(p);
-      };
-      if (pool)
-        pool->forEach(cands.size(), expand);
-      else
-        for (std::size_t i = 0; i < cands.size(); ++i) expand(i);
-    }
-
-    // Phase 2 (serial, in action order): record edges, deduplicate by
-    // canonical hash BEFORE any evaluation (or, on the delta path, any
-    // materialization), insert new nodes, and enqueue only nodes that are
+    // Phase 1 (serial, in action order): hash each child in place against
+    // `p` (no tree copies; DeltaContext is inherently serial), record
+    // edges, deduplicate by canonical hash BEFORE any materialization or
+    // evaluation, insert new nodes, and enqueue only nodes that are
     // strictly inside the depth limit.
     std::vector<std::uint64_t> fresh;
     std::vector<std::size_t> fresh_action;
-    for (std::size_t i = 0; i < cands.size(); ++i) {
-      Candidate& c = cands[i];
+    for (std::size_t i = 0; i < actions.size(); ++i) {
       if (nodes_.size() >= max_nodes) break;
-      edges_.push_back({h, c.hash, c.label});
-      if (nodes_.count(c.hash)) continue;  // reached earlier by another path
+      const std::uint64_t ch = delta.neighborHash(actions[i]);
+      const std::string label = actions[i].describe(p);
+      edges_.push_back({h, ch, label});
+      if (nodes_.count(ch)) continue;  // reached earlier by another path
       GraphNode node;
-      node.hash = c.hash;
-      node.program = std::move(c.program);  // empty placeholder under delta
+      node.hash = ch;
       node.depth = depth + 1;
-      parent_[c.hash] = {h, c.label};
+      parent_[ch] = {h, label};
       if (node.depth < max_depth) {
-        frontier.push_back(c.hash);
-        if (use_index) via.emplace(c.hash, std::make_pair(h, actions[i]));
+        frontier.push_back(ch);
+        via.emplace(ch, std::make_pair(h, actions[i]));
       }
-      nodes_[c.hash] = std::move(node);
-      fresh.push_back(c.hash);
+      nodes_[ch] = std::move(node);
+      fresh.push_back(ch);
       fresh_action.push_back(i);
     }
 
-    // Phase 2b (delta only): materialize the deduplicated fresh nodes,
+    // Phase 2: materialize and price the deduplicated fresh nodes,
     // concurrently when possible — duplicate-hash candidates were never
-    // copied at all. The map is not resized, so each worker fills a
+    // copied at all. The map is not resized here, so each worker fills a
     // distinct entry.
-    if (use_delta) {
-      auto materialize = [&](std::size_t i) {
-        nodes_.at(fresh[i]).program = actions[fresh_action[i]].apply(p);
-      };
-      if (pool)
-        pool->forEach(fresh.size(), materialize);
-      else
-        for (std::size_t i = 0; i < fresh.size(); ++i) materialize(i);
-    }
-
-    // Phase 3: price the unique new nodes, concurrently when possible. The
-    // map is not resized here, so each worker writes a distinct entry.
     auto price = [&](std::size_t i) {
       GraphNode& node = nodes_.at(fresh[i]);
+      node.program = actions[fresh_action[i]].apply(p);
       node.runtime = nodeCost(m, cache, node.hash, node.program);
     };
     if (pool)

@@ -37,13 +37,13 @@ class TransformationGraph {
   /// exactly once: duplicate-hash candidates are deduplicated *before* any
   /// evaluation, and leaves at the depth limit are never enqueued.
   ///
-  /// An optional EvalCache shares costs with other consumers (a search run,
-  /// a Dojo session); an optional ParallelEvaluator prices each expansion
-  /// level's unique new nodes concurrently. With `use_delta`, children are
-  /// identified by incremental (in-place) canonical hashing and only the
-  /// deduplicated fresh nodes are ever materialized into tree copies. All
-  /// three knobs are purely accelerative: the resulting graph is identical
-  /// with or without them.
+  /// Children are identified by incremental (in-place) canonical hashing
+  /// and only the deduplicated fresh nodes are ever materialized into tree
+  /// copies. An optional EvalCache shares costs with other consumers (a
+  /// search run, a Dojo session); an optional ParallelEvaluator materializes
+  /// and prices each parent's unique new children concurrently. Both knobs
+  /// are purely accelerative: the resulting graph is identical with or
+  /// without them.
   ///
   /// An optional learned prior (search/prior.h) prunes each parent's action
   /// list to the `prior_topk` best-predicted children before any hashing or
@@ -55,7 +55,6 @@ class TransformationGraph {
                       int max_depth, std::size_t max_nodes,
                       EvalCache* cache = nullptr,
                       ParallelEvaluator* pool = nullptr,
-                      bool use_delta = true,
                       const PriorModel* prior = nullptr, int prior_topk = 0);
 
   std::size_t nodeCount() const { return nodes_.size(); }

@@ -40,6 +40,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <set>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,7 +54,6 @@
 #include "libgen/server.h"
 #include "machines/machine.h"
 #include "rl/perfllm.h"
-#include "search/delta.h"
 #include "search/exact.h"
 #include "search/pass.h"
 #include "search/prior.h"
@@ -64,7 +64,6 @@
 #include "support/strings.h"
 #include "support/table.h"
 #include "support/telemetry.h"
-#include "transform/action_set.h"
 
 using namespace perfdojo;
 
@@ -80,12 +79,38 @@ struct Args {
   }
 };
 
+/// Every flag any subcommand reads. A flag outside this list (a typo, or a
+/// switch that no longer exists) must fail loudly instead of being ignored,
+/// so a script never runs a different configuration than it spells out.
+const std::set<std::string>& knownFlags() {
+  static const std::set<std::string> flags = {
+      "budget",     "budget-sec",     "cache-dir",    "cert-out",
+      "codegen",    "codegen-final",  "cold",         "corpus",
+      "count",      "depth",          "dir",          "emit",
+      "episodes",   "epochs",         "hidden",       "holdout",
+      "in",         "kernel",         "kernels",      "lr",
+      "machine",    "machines",       "max-states",   "max-steps",
+      "method",     "model-out",      "no-cache",     "no-prior",
+      "no-prune",   "out",            "out-file",     "prior",
+      "prior-topk", "profile",        "replay",       "seed",
+      "shards",     "structure",      "threads",      "tier",
+      "top",        "trace-in",       "trace-out",    "trace-programs",
+      "trajectories", "update",       "warm",         "workers"};
+  return flags;
+}
+
+/// Flags come in `--key value` pairs. Throws Error — main() reports it and
+/// exits 1 — on an unknown key, a key without the `--` prefix, or a
+/// trailing key with no value.
 Args parse(int argc, char** argv) {
   Args a;
   if (argc >= 2) a.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) == 0) key = key.substr(2);
+  for (int i = 2; i < argc; i += 2) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) fail("unexpected argument '" + arg + "'");
+    const std::string key = arg.substr(2);
+    if (knownFlags().count(key) == 0) fail("unknown flag '" + arg + "'");
+    if (i + 1 >= argc) fail("missing value for flag '" + arg + "'");
     a.flags[key] = argv[i + 1];
   }
   return a;
@@ -160,11 +185,6 @@ int usage() {
                "  --machines <x,y>    with --update: ... on these machines\n"
                "  --threads <n>       evaluation worker threads (0 = all cores)\n"
                "  --no-cache <0|1>    1 disables evaluation memoization\n"
-               "  --no-delta <0|1>    1 disables incremental (delta) candidate hashing\n"
-               "  --no-arena <0|1>    1 falls back to the per-node line-cache hash backend\n"
-               "  --no-batch <0|1>    1 disables batched neighbor pricing (SA prefetch)\n"
-               "  --no-action-index <0|1>  1 re-enumerates actions fully after accepted moves\n"
-               "  --no-rebase <0|1>   1 re-binds the canonical form from scratch on accepts\n"
                "  --emit <fmt>        ir | c | cuda\n"
                "  --out <dir>         libgen / fuzz-witness output directory\n"
                "  --trace-out <file>  append JSONL telemetry events to <file>\n"
@@ -281,11 +301,6 @@ int cmdOptimize(const Args& a) {
       fail("invalid --structure '" + s + "': expected edges or heuristic");
     sc.threads = static_cast<int>(flagInt(a, "threads", 0, 0, 4096));
     sc.use_cache = a.get("no-cache", "0") != "1";
-    sc.use_delta = a.get("no-delta", "0") != "1";
-    sc.use_arena = a.get("no-arena", "0") != "1";
-    sc.batch_neighbors = a.get("no-batch", "0") != "1";
-    sc.use_action_index = a.get("no-action-index", "0") != "1";
-    sc.use_rebase = a.get("no-rebase", "0") != "1";
     sc.trace_programs = a.get("trace-programs", "0") == "1";
     sc.telemetry = trace.get();
     // The prior must outlive the search; --no-prior wins over --prior so a
@@ -322,7 +337,6 @@ int cmdOptimize(const Args& a) {
     ec.depth = static_cast<int>(flagInt(a, "depth", 3, 1, 64));
     ec.max_states = flagInt(a, "max-states", 200000, 1, 1000000000000LL);
     ec.threads = static_cast<int>(flagInt(a, "threads", 0, 0, 4096));
-    ec.use_delta = a.get("no-delta", "0") != "1";
     ec.prune = a.get("no-prune", "0") != "1";
     ec.kernel_label = k->label;
     ec.telemetry = trace.get();
@@ -833,22 +847,8 @@ int cmdFuzz(const Args& a) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args a = parse(argc, argv);
-  // The escape hatch switches every DeltaContext in the process (search,
-  // graph expansion, exact frontier, fuzz oracles) to the pre-arena backend;
-  // results are bit-identical, only the hot-path cost differs.
-  if (a.get("no-arena", "0") == "1")
-    search::DeltaContext::setDefaultUseArena(false);
-  // Same pattern for the accepted-move hot path: --no-action-index switches
-  // every consumer of the maintained action index (SA, sampling pool, graph
-  // expansion, exact frontier, Dojo::moves) back to full re-enumeration, and
-  // --no-rebase makes every DeltaContext accept() re-bind from scratch.
-  // Traces and certificates are bit-identical either way.
-  if (a.get("no-action-index", "0") == "1")
-    transform::ActionSet::setDefaultEnabled(false);
-  if (a.get("no-rebase", "0") == "1")
-    search::DeltaContext::setDefaultUseRebase(false);
   try {
+    const Args a = parse(argc, argv);
     if (a.command == "list") return cmdList();
     if (a.command == "show") return cmdShow(a);
     if (a.command == "optimize") return cmdOptimize(a);

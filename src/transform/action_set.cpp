@@ -1,7 +1,6 @@
 #include "transform/action_set.h"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_set>
 
 #include "ir/incremental.h"
@@ -11,8 +10,6 @@
 namespace perfdojo::transform {
 
 namespace {
-
-std::atomic<bool> g_default_enabled{true};
 
 /// How one transform's applicable sites react to a reported mutation. The
 /// soundness argument per field:
@@ -118,14 +115,6 @@ Policy policyFor(const std::string& name) {
 }
 
 }  // namespace
-
-void ActionSet::setDefaultEnabled(bool v) {
-  g_default_enabled.store(v, std::memory_order_relaxed);
-}
-
-bool ActionSet::defaultEnabled() {
-  return g_default_enabled.load(std::memory_order_relaxed);
-}
 
 void ActionSet::flatten(const ir::Program& p, Flat& f) {
   ir::NodeId max_id = p.root.id;

@@ -29,9 +29,11 @@
 //   actions() is element-identical — same elements, same order — to a fresh
 //   transform::allActions(p, caps) after every bind()/update().
 //
-// Decision sequences, traces and optimality certificates are therefore
-// bit-identical with the index on or off; the property suite and the
-// fuzzer's action-set oracle layer enforce it element-for-element.
+// Every search tier draws from a maintained ActionSet, and its decision
+// sequences, traces and optimality certificates are bit-identical to the
+// re-enumerating reference (allActions per state) that the tests, the
+// fuzzer's action-set oracle layer and the benches keep; the property suite
+// and the fuzzer enforce the invariant element-for-element.
 #pragma once
 
 #include <cstdint>
@@ -66,12 +68,6 @@ struct ActionSetStats {
 class ActionSet {
  public:
   ActionSet() = default;
-
-  /// Process-wide default for whether search tiers maintain an ActionSet at
-  /// all (the CLI's --no-action-index escape hatch flips this once at
-  /// startup). Mirrors DeltaContext::setDefaultUseArena.
-  static void setDefaultEnabled(bool v);
-  static bool defaultEnabled();
 
   /// Full enumeration of `p` against the standard transform library.
   void bind(const ir::Program& p, const MachineCaps& caps);

@@ -6,7 +6,7 @@
 // by applyInPlace) collects what the transform declares about its footprint —
 // reportDirtySubtree() / reportBuffersChanged() / reportWholeTree(). A
 // transform that reports nothing gets a conservative whole-program summary,
-// which is always correct (the incremental hasher then re-renders
+// which is always correct (the canonical-form arena then re-renders
 // everything). The reporting contract is in ir::MutationSummary; the
 // property tests and the fuzzer's incremental-hash oracle layer enforce that
 // every report is adequate.

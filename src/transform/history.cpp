@@ -6,7 +6,7 @@ namespace perfdojo::transform {
 
 History::History(ir::Program original)
     : original_(original), current_(std::move(original)) {
-  inc_.rebuild(current_);
+  arena_.bind(current_);
 }
 
 void History::push(const Action& a) {
@@ -14,7 +14,7 @@ void History::push(const Action& a) {
   ir::Program next = current_;
   a.transform->applyInPlace(next, a.loc, &mut, /*validate=*/true);
   current_ = std::move(next);
-  inc_.update(current_, mut);
+  arena_.rebase(current_, mut);
   last_mut_ = std::move(mut);
   steps_.push_back({a.transform, a.loc});
 }
@@ -26,7 +26,7 @@ void History::undo() {
   auto p = replay(original_, prefix, r);
   require(p.has_value(), "History::undo: prefix replay failed: " + r.message);
   current_ = std::move(*p);
-  inc_.rebuild(current_);
+  arena_.bind(current_);
   last_mut_ = ir::MutationSummary::conservative();
   steps_ = std::move(prefix);
 }
@@ -54,7 +54,7 @@ History::ReplayResult History::tryAdopt(std::vector<Step> steps) {
   auto p = replay(original_, steps, r);
   if (!p) return r;
   current_ = std::move(*p);
-  inc_.rebuild(current_);
+  arena_.bind(current_);
   last_mut_ = ir::MutationSummary::conservative();
   steps_ = std::move(steps);
   return r;

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "ir/arena.h"
 #include "ir/incremental.h"
 #include "ir/program.h"
 #include "transform/transform.h"
@@ -30,17 +31,17 @@ class History {
   const std::vector<Step>& steps() const { return steps_; }
   std::size_t size() const { return steps_.size(); }
 
-  /// ir::canonicalHash(current()), maintained incrementally: push() updates
-  /// it from the applied transform's mutation summary instead of re-rendering
-  /// the whole program (sequence edits rebuild). The deterministic passes and
+  /// ir::canonicalHash(current()), maintained incrementally: push() rebases
+  /// the canonical-form arena from the applied transform's mutation summary
+  /// instead of re-rendering the whole program (sequence edits rebind). The deterministic passes and
   /// the memoized evaluation layer key on this value.
-  std::uint64_t currentHash() const { return inc_.hash(); }
+  std::uint64_t currentHash() const { return arena_.hash(); }
 
   /// Mutation summary of the last push() — the report currentHash() was
   /// updated from — so callers can splice their own per-state indices (the
   /// Dojo's move list) off the same mutation. Conservative (whole_tree)
   /// after any other editing operation (undo, erase/replace/insert), which
-  /// replays and rebuilds.
+  /// replays and rebinds.
   const ir::MutationSummary& lastMutation() const { return last_mut_; }
 
   /// Applies an action and records it. Throws if inapplicable.
@@ -79,7 +80,7 @@ class History {
   ir::Program original_;
   ir::Program current_;
   std::vector<Step> steps_;
-  ir::IncrementalCanonical inc_;  // canonical form of current_
+  ir::CanonicalArena arena_;  // canonical form of current_
   ir::MutationSummary last_mut_ = ir::MutationSummary::conservative();
 };
 

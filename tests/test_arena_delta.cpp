@@ -1,11 +1,10 @@
 // Property and bit-identity suite for the arena-backed delta pricing path.
 //
-// The contract under test (see src/search/delta.h): for EITHER canonical-form
-// backend — the CanonicalArena and the per-node line cache it replaced —
-// DeltaContext::neighborHash(a) equals ir::canonicalHash(a.apply(base))
-// bit-for-bit, a throwing action leaves the context fully resynchronized,
-// and a search run makes exactly the decisions of the copy pipeline whether
-// the arena is on or off, on one thread or eight.
+// The contract under test (see src/search/delta.h): DeltaContext's
+// neighborHash(a) equals ir::canonicalHash(a.apply(base)) — the copy
+// pipeline — bit-for-bit, a throwing action leaves the context fully
+// resynchronized, and an annealing run reproduces the golden traces the
+// copy pipeline recorded (no arena, no delta), on one thread or eight.
 //
 // Suite names deliberately contain "Arena"/"Delta" so the CI ThreadSanitizer
 // job's -R regex picks them up.
@@ -14,15 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include "golden.h"
+
 #include "ir/canonical.h"
 #include "ir/walk.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
 #include "search/delta.h"
 #include "search/pass.h"
-#include "search/search.h"
 #include "support/common.h"
-#include "support/telemetry.h"
 #include "transform/transform.h"
 
 namespace perfdojo::search {
@@ -51,145 +50,78 @@ transform::Action poisonAction() {
   return a;
 }
 
-TEST(ArenaDelta, NeighborHashMatchesCopyHashOnBothBackends) {
+TEST(ArenaDelta, NeighborHashMatchesCopyHash) {
   for (const auto& p : propertyCorpus()) {
     const auto actions = transform::allActions(p, machines::xeon().caps());
     ASSERT_FALSE(actions.empty());
-    for (const bool use_arena : {true, false}) {
-      SCOPED_TRACE(::testing::Message()
-                   << (use_arena ? "arena" : "line-cache") << " backend, "
-                   << ir::nodeCount(p.root) << " nodes");
-      DeltaContext dctx;
-      dctx.setUseArena(use_arena);
-      dctx.bind(p);
-      EXPECT_EQ(dctx.baseHash(), ir::canonicalHash(p));
-      // Two full passes over the neighbor set: the second proves the
-      // watermark undo restored the scratch state exactly after every
-      // single mutation of the first.
-      for (int pass = 0; pass < 2; ++pass) {
-        for (const auto& a : actions)
-          ASSERT_EQ(dctx.neighborHash(a), ir::canonicalHash(a.apply(p)))
-              << "pass " << pass << ": " << a.describe(p);
-      }
-      EXPECT_EQ(dctx.stats().neighbors_hashed,
-                2 * static_cast<std::int64_t>(actions.size()));
+    SCOPED_TRACE(::testing::Message() << ir::nodeCount(p.root) << " nodes");
+    DeltaContext dctx;
+    dctx.bind(p);
+    EXPECT_EQ(dctx.baseHash(), ir::canonicalHash(p));
+    // Two full passes over the neighbor set: the second proves the
+    // watermark undo restored the scratch state exactly after every single
+    // mutation of the first.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const auto& a : actions)
+        ASSERT_EQ(dctx.neighborHash(a), ir::canonicalHash(a.apply(p)))
+            << "pass " << pass << ": " << a.describe(p);
     }
+    EXPECT_EQ(dctx.stats().neighbors_hashed,
+              2 * static_cast<std::int64_t>(actions.size()));
   }
 }
 
-TEST(ArenaDelta, ThrowingActionLeavesContextBitExactOnBothBackends) {
-  // The satellite regression: a failing action must fully resynchronize the
-  // scratch tree and the canonical form, so the NEXT neighbor hashes exactly
-  // as a fresh copy-based hash would. Interleaving a poison action before
-  // every valid neighbor exercises the resync on every mutation shape the
-  // corpus offers.
+TEST(ArenaDelta, ThrowingActionLeavesContextBitExact) {
+  // A failing action must fully resynchronize the scratch tree and the
+  // canonical form, so the NEXT neighbor hashes exactly as a fresh
+  // copy-based hash would. Interleaving a poison action before every valid
+  // neighbor exercises the resync on every mutation shape the corpus offers.
   const auto poison = poisonAction();
   for (const auto& p : propertyCorpus()) {
     const auto actions = transform::allActions(p, machines::xeon().caps());
-    for (const bool use_arena : {true, false}) {
-      SCOPED_TRACE(::testing::Message()
-                   << (use_arena ? "arena" : "line-cache") << " backend");
-      DeltaContext dctx;
-      dctx.setUseArena(use_arena);
-      dctx.bind(p);
-      for (const auto& a : actions) {
-        EXPECT_THROW(dctx.neighborHash(poison), Error);
-        ASSERT_EQ(dctx.neighborHash(a), ir::canonicalHash(a.apply(p)))
-            << "after a throwing action: " << a.describe(p);
-      }
-      // The context survives rebinding after all that abuse.
-      const ir::Program q = actions.front().apply(p);
-      dctx.bind(q);
-      EXPECT_EQ(dctx.baseHash(), ir::canonicalHash(q));
+    DeltaContext dctx;
+    dctx.bind(p);
+    for (const auto& a : actions) {
+      EXPECT_THROW(dctx.neighborHash(poison), Error);
+      ASSERT_EQ(dctx.neighborHash(a), ir::canonicalHash(a.apply(p)))
+          << "after a throwing action: " << a.describe(p);
     }
+    // The context survives rebinding after all that abuse.
+    const ir::Program q = actions.front().apply(p);
+    dctx.bind(q);
+    EXPECT_EQ(dctx.baseHash(), ir::canonicalHash(q));
   }
 }
 
 TEST(ArenaDelta, BackendsAgreeAlongAGreedyWalk) {
-  // Rebind-per-acceptance, the shape of the annealing loop: walk a few
-  // accepted steps deep and require both backends to price every neighbor
-  // of every intermediate state identically.
+  // The shape of the annealing loop, delta backend against the copy
+  // pipeline: walk a few accepted steps deep through accept() (rebase in
+  // place) and require every neighbor of every intermediate state to hash
+  // as its apply-copy does, and every accepted base to equal the copy.
   ir::Program p = kernels::findKernel("softmax")->build();
+  DeltaContext dctx;
+  dctx.bind(p);
   for (int depth = 0; depth < 6; ++depth) {
     const auto actions = transform::allActions(p, machines::xeon().caps());
     if (actions.empty()) break;
-    DeltaContext arena, lines;
-    arena.setUseArena(true);
-    lines.setUseArena(false);
-    arena.bind(p);
-    lines.bind(p);
-    for (const auto& a : actions) {
-      const std::uint64_t h = arena.neighborHash(a);
-      ASSERT_EQ(h, lines.neighborHash(a)) << "depth " << depth;
-    }
-    // Accept the last neighbor; materialize must match the plain copy.
+    for (const auto& a : actions)
+      ASSERT_EQ(dctx.neighborHash(a), ir::canonicalHash(a.apply(p)))
+          << "depth " << depth << ": " << a.describe(p);
     const auto& pick = actions[static_cast<std::size_t>(depth) %
                                actions.size()];
-    const ir::Program next = arena.materialize(pick);
-    ASSERT_TRUE(ir::canonicallyEqual(next, pick.apply(p)));
+    const ir::Program next = pick.apply(p);
+    ASSERT_TRUE(ir::canonicallyEqual(dctx.accept(pick), next));
+    ASSERT_EQ(dctx.baseHash(), ir::canonicalHash(next)) << "depth " << depth;
     p = next;
   }
 }
 
-/// Drops every "wall_ms" field from a JSONL trace: the only member whose
-/// value legitimately varies between bit-identical runs.
-std::string stripWallClock(std::string jsonl) {
-  const std::string key = ",\"wall_ms\":";
-  for (std::size_t at; (at = jsonl.find(key)) != std::string::npos;) {
-    std::size_t end = at + key.size();
-    while (end < jsonl.size() && jsonl[end] != ',' && jsonl[end] != '}') ++end;
-    jsonl.erase(at, end - at);
-  }
-  return jsonl;
-}
-
 TEST(ArenaDelta, SearchTracesBitIdenticalArenaOnOffAcrossThreads) {
-  // The acceptance criterion from the arena PR: traces, best cost and memo
-  // counters bit-identical with the arena on or off, threads 1 or 8. The
-  // reference is the copy pipeline (no delta at all); every modern
-  // combination must reproduce its decisions exactly.
-  const auto& m = machines::xeon();
-  for (const char* label : {"softmax", "matmul"}) {
-    const ir::Program kernel = kernels::findKernel(label)->build();
-    SearchConfig base;
-    base.method = SearchMethod::SimulatedAnnealing;
-    base.structure = SpaceStructure::Edges;
-    base.budget = 160;
-    base.max_steps = 10;
-    base.seed = 7;
-
-    Telemetry ref_sink;
-    SearchConfig ref_cfg = base;
-    ref_cfg.threads = 1;
-    ref_cfg.use_delta = false;
-    ref_cfg.use_arena = false;
-    ref_cfg.batch_neighbors = false;
-    ref_cfg.telemetry = &ref_sink;
-    const auto reference = runSearch(kernel, m, ref_cfg);
-    const std::string ref_trace = stripWallClock(ref_sink.buffered());
-    ASSERT_FALSE(ref_trace.empty());
-
-    for (int threads : {1, 8}) {
-      for (bool use_arena : {false, true}) {
-        SCOPED_TRACE(::testing::Message() << label << " threads=" << threads
-                                          << " arena=" << use_arena);
-        Telemetry sink;
-        SearchConfig cfg = base;
-        cfg.threads = threads;
-        cfg.use_delta = true;
-        cfg.use_arena = use_arena;
-        cfg.telemetry = &sink;
-        const auto r = runSearch(kernel, m, cfg);
-        EXPECT_EQ(reference.best_runtime, r.best_runtime);
-        EXPECT_EQ(reference.evals, r.evals);
-        EXPECT_TRUE(ir::canonicallyEqual(reference.best, r.best));
-        ASSERT_EQ(reference.trace.size(), r.trace.size());
-        for (std::size_t i = 0; i < reference.trace.size(); ++i)
-          ASSERT_EQ(reference.trace[i], r.trace[i]) << "at eval " << i;
-        EXPECT_EQ(stripWallClock(sink.buffered()), ref_trace);
-      }
-    }
-  }
+  // The goldens were recorded by the copy pipeline (arena and delta off,
+  // actions re-enumerated, no prefetch) at threads 1; the shipping pipeline
+  // must reproduce them on one thread or eight. Softmax here; matmul in
+  // ActionSet.SearchTracesBitIdenticalIndexOnOffAcrossThreads.
+  golden::expectAnnealEdgesGolden("softmax");
 }
 
 }  // namespace

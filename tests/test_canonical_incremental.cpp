@@ -1,16 +1,19 @@
-// Property suite for the incremental canonical-hash machinery: after every
+// Property suite for the MutationSummary contract and the incremental
+// canonical form built on it (ir::CanonicalArena probe/rebase): after every
 // apply/undo step of any trajectory, the incrementally maintained hash must
 // equal fnv1a(canonicalText(p)) — the exact value memo tables, witness files
 // and telemetry key on. Covers every Table-3 kernel crossed with every
-// applicable transform (single-step exhaustive) and with seeded random
-// trajectories (multi-step, History push/undo + DeltaContext hash/undo),
-// plus the conservative-fallback and header-only paths.
+// applicable transform (single-step exhaustive, read-only probe and in-place
+// rebase) and with seeded random trajectories (multi-step, History
+// push/undo + DeltaContext hash/undo), plus the conservative-fallback and
+// header-only paths.
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ir/arena.h"
 #include "ir/canonical.h"
 #include "ir/incremental.h"
 #include "ir/walk.h"
@@ -34,7 +37,7 @@ using transform::Transform;
 /// The ground truth the whole subsystem is measured against. Spelled out as
 /// fnv1a(canonicalText(p)) rather than canonicalHash(p) so the property does
 /// not become a tautology if canonicalHash is ever rerouted through the
-/// incremental path.
+/// arena.
 std::uint64_t groundTruth(const Program& p) {
   const std::string text = canonicalText(p);
   return fnv1a(text.data(), text.size());
@@ -46,25 +49,40 @@ const std::vector<const machines::Machine*>& profileMachines() {
   return ms;
 }
 
+/// Requires both incremental views of the mutation `mut` from the bound
+/// program to a mutated `q` to match a monolithic re-render: the read-only
+/// probe (delta pricing) and the in-place rebase (accepted moves, History).
+/// Probe first — it must leave the arena describing the base.
+void expectProbeAndRebaseExact(CanonicalArena& arena, const Program& q,
+                               const MutationSummary& mut,
+                               const std::string& what) {
+  const std::uint64_t base = arena.hash();
+  ASSERT_EQ(arena.probe(q, mut), groundTruth(q)) << what << " (probe)";
+  ASSERT_EQ(arena.hash(), base) << what << " (probe committed state)";
+  arena.rebase(q, mut);
+  ASSERT_EQ(arena.hash(), groundTruth(q)) << what << " (rebase)";
+}
+
 TEST(IncrementalCanonical, RebuildMatchesFullRenderOnEveryKernel) {
   for (const auto* cat : {&kernels::table3(), &kernels::snitchMicro()}) {
     for (const auto& k : *cat) {
       const Program p = k.build_small();
-      IncrementalCanonical inc(p);
-      EXPECT_EQ(inc.hash(), groundTruth(p)) << k.label;
-      EXPECT_EQ(inc.text(p), canonicalText(p)) << k.label;
-      EXPECT_EQ(inc.cachedLines(), nodeCount(p.root) - 1) << k.label;
+      const CanonicalArena arena(p);
+      EXPECT_EQ(arena.hash(), groundTruth(p)) << k.label;
+      EXPECT_EQ(arena.text(), canonicalText(p)) << k.label;
+      EXPECT_EQ(arena.size(), nodeCount(p.root) - 1) << k.label;
     }
   }
 }
 
 TEST(IncrementalCanonical, NoneSummaryIsAnIdentityUpdate) {
   const Program p = kernels::makeSoftmax(4, 8);
-  IncrementalCanonical inc(p);
-  const std::uint64_t before = inc.hash();
-  inc.update(p, MutationSummary::none());
-  EXPECT_EQ(inc.hash(), before);
-  EXPECT_EQ(inc.hash(), groundTruth(p));
+  CanonicalArena arena(p);
+  const std::uint64_t before = arena.hash();
+  EXPECT_EQ(arena.probe(p, MutationSummary::none()), before);
+  arena.rebase(p, MutationSummary::none());
+  EXPECT_EQ(arena.hash(), before);
+  EXPECT_EQ(arena.hash(), groundTruth(p));
 }
 
 TEST(IncrementalCanonical, ConservativeSummaryRecoversFromAnyStaleness) {
@@ -72,17 +90,17 @@ TEST(IncrementalCanonical, ConservativeSummaryRecoversFromAnyStaleness) {
   // ways no dirty root describes (here: a whole different program).
   const Program a = kernels::makeSoftmax(4, 8);
   const Program b = kernels::makeMatmul(4, 4, 4);
-  IncrementalCanonical inc(a);
-  inc.update(b, MutationSummary::conservative());
-  EXPECT_EQ(inc.hash(), groundTruth(b));
+  CanonicalArena arena(a);
+  expectProbeAndRebaseExact(arena, b, MutationSummary::conservative(),
+                            "softmax -> matmul");
 }
 
 TEST(IncrementalCanonical, EveryApplicableTransformSingleStep) {
   // Table-3 kernels x all three caps profiles x every action the library
-  // offers on the base program: one in-place apply, one incremental update,
-  // compared against a monolithic re-render. This is the exhaustive
-  // single-step core of the tentpole invariant; anything reachable deeper is
-  // covered statistically by the trajectory suite below.
+  // offers on the base program: one in-place apply, then the probe and the
+  // rebase from its summary, compared against a monolithic re-render. This
+  // is the exhaustive single-step core of the invariant; anything reachable
+  // deeper is covered statistically by the trajectory suite below.
   std::size_t checked = 0;
   for (const auto& k : kernels::table3()) {
     const Program p = k.build_small();
@@ -91,10 +109,10 @@ TEST(IncrementalCanonical, EveryApplicableTransformSingleStep) {
         Program q = p;
         MutationSummary mut;
         a.transform->applyInPlace(q, a.loc, &mut);
-        IncrementalCanonical inc(p);
-        inc.update(q, mut);
-        ASSERT_EQ(inc.hash(), groundTruth(q))
-            << k.label << " on " << m->name() << ": " << a.describe(p);
+        CanonicalArena arena(p);
+        expectProbeAndRebaseExact(
+            arena, q, mut, k.label + " on " + m->name() + ": " + a.describe(p));
+        if (::testing::Test::HasFatalFailure()) return;
         ++checked;
       }
     }
@@ -117,9 +135,8 @@ TEST(IncrementalCanonical, HeaderOnlyMutationsRehashWithoutTreeRender) {
       EXPECT_FALSE(mut.whole_tree) << t->name();
       EXPECT_TRUE(mut.buffers_changed) << t->name();
       EXPECT_TRUE(mut.dirty_scopes.empty()) << t->name();
-      IncrementalCanonical inc(p);
-      inc.update(q, mut);
-      EXPECT_EQ(inc.hash(), groundTruth(q)) << t->name();
+      CanonicalArena arena(p);
+      expectProbeAndRebaseExact(arena, q, mut, t->name());
       exercised = true;
     }
   }
@@ -162,9 +179,8 @@ TEST(IncrementalCanonical, DefaultApplyInPlaceReportsConservatively) {
   t.applyInPlace(q, locs[0], &mut);
   EXPECT_TRUE(mut.whole_tree);
   EXPECT_TRUE(mut.buffers_changed);
-  IncrementalCanonical inc(p);
-  inc.update(q, mut);
-  EXPECT_EQ(inc.hash(), groundTruth(q));
+  CanonicalArena arena(p);
+  expectProbeAndRebaseExact(arena, q, mut, t.name());
 }
 
 // --- Random trajectories: the 200-seed property walk per kernel ------------

@@ -2,8 +2,7 @@
 // bit-identically, the stochastic tiers land within their recorded ratio of
 // the proven optimum (the Fig. 7 quality gate), Machine::lowerBound is
 // admissible along random trajectories, pruning and dedup never change the
-// optimum, and certificates are bit-identical across thread counts and delta
-// on/off.
+// optimum, and certificates are bit-identical across thread counts.
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
@@ -11,6 +10,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "golden.h"
 
 #include "ir/canonical.h"
 #include "kernels/kernels.h"
@@ -43,7 +44,7 @@ std::vector<std::string> baselineFiles() {
 /// The baselines were generated by `perfdojo certs --update` on the *small*
 /// kernel variants; recomputation must use the identical configuration.
 ExactResult recompute(const ExactCertificate& want, int threads = 0,
-                      bool use_delta = true, Telemetry* sink = nullptr) {
+                      Telemetry* sink = nullptr) {
   const auto* k = kernels::findKernel(want.kernel);
   const auto* m = machines::findMachine(want.machine);
   EXPECT_NE(k, nullptr) << want.kernel;
@@ -51,7 +52,6 @@ ExactResult recompute(const ExactCertificate& want, int threads = 0,
   ExactConfig cfg;
   cfg.depth = want.depth;
   cfg.threads = threads;
-  cfg.use_delta = use_delta;
   cfg.kernel_label = want.kernel;
   cfg.telemetry = sink;
   return runExact(k->build_small(), *m, cfg);
@@ -271,30 +271,14 @@ TEST(Exact, RejectsDegenerateConfig) {
 
 // --- Determinism ----------------------------------------------------------
 
-std::string stripField(std::string jsonl, const std::string& field) {
-  const std::string key = ",\"" + field + "\":";
-  for (std::size_t at; (at = jsonl.find(key)) != std::string::npos;) {
-    std::size_t end = at + key.size();
-    while (end < jsonl.size() && jsonl[end] != ',' && jsonl[end] != '}') ++end;
-    jsonl.erase(at, end - at);
-  }
-  return jsonl;
-}
-
-/// wall_ms is the one legitimately varying measurement; the `delta` member of
-/// exact_begin echoes the configuration under test. Everything else must be
-/// bit-identical.
-std::string normalizeTrace(const std::string& jsonl) {
-  return stripField(stripField(jsonl, "wall_ms"), "delta");
-}
-
 TEST(Frontier, CertificateBitIdenticalAcrossThreadsAndDelta) {
-  // Mirrors Search.DeltaAndThreadsPreserveTraceBitIdentity: every
-  // {threads 1, 8} x {delta off, on} combination must produce the identical
-  // certificate JSON, state counts and telemetry stream (modulo wall_ms) as
-  // the serial copy-hashing reference. Dedup, budget and pruning decisions
-  // all run on the decision thread in a fixed order, so any divergence is a
-  // determinism bug, not noise.
+  // Mirrors Search.DeltaAndThreadsPreserveTraceBitIdentity: threads 1 and 8
+  // must produce the identical certificate JSON, state counts and telemetry
+  // stream (modulo wall_ms), and where a checked-in certificate exists —
+  // recorded by the copy-hashing frontier — the delta-hashed one must
+  // reproduce it. Dedup, budget and pruning decisions all run on the
+  // decision thread in a fixed order, so any divergence is a determinism
+  // bug, not noise.
   for (const char* kernel : {"mul", "reducemean"}) {
     const auto* k = kernels::findKernel(kernel);
     ASSERT_NE(k, nullptr);
@@ -306,31 +290,36 @@ TEST(Frontier, CertificateBitIdenticalAcrossThreadsAndDelta) {
     Telemetry ref_sink;
     ExactConfig ref_cfg = base_cfg;
     ref_cfg.threads = 1;
-    ref_cfg.use_delta = false;
     ref_cfg.telemetry = &ref_sink;
     const auto ref = runExact(k->build_small(), m, ref_cfg);
     ASSERT_TRUE(ref.cert.complete) << kernel;
-    const std::string ref_trace = normalizeTrace(ref_sink.buffered());
+    const std::string ref_trace = golden::stripWallClock(ref_sink.buffered());
     ASSERT_FALSE(ref_trace.empty());
-
-    for (int threads : {1, 8}) {
-      for (bool use_delta : {false, true}) {
-        SCOPED_TRACE(::testing::Message() << kernel << " threads=" << threads
-                                          << " delta=" << use_delta);
-        Telemetry sink;
-        ExactConfig cfg = base_cfg;
-        cfg.threads = threads;
-        cfg.use_delta = use_delta;
-        cfg.telemetry = &sink;
-        const auto r = runExact(k->build_small(), m, cfg);
-        EXPECT_EQ(r.cert.toJson(), ref.cert.toJson());
-        EXPECT_EQ(r.cert.states, ref.cert.states);
-        EXPECT_EQ(r.best_cost, ref.best_cost);
-        EXPECT_EQ(r.machine_evals, ref.machine_evals);
-        EXPECT_TRUE(ir::canonicallyEqual(r.best, ref.best));
-        EXPECT_EQ(normalizeTrace(sink.buffered()), ref_trace);
-      }
+    const std::string checked_in = std::string(PD_EXACT_BASELINE_DIR) + "/" +
+                                   kernel + "_xeon_d3.json";
+    if (std::filesystem::exists(checked_in)) {
+      ExactCertificate want;
+      std::string err;
+      ASSERT_TRUE(parseCertificate(readTextFile(checked_in), want, &err))
+          << err;
+      ExactCertificate got = ref.cert;
+      got.sa_gate = want.sa_gate;
+      got.heuristic_gate = want.heuristic_gate;
+      EXPECT_EQ(got.toJson(), want.toJson()) << kernel;
     }
+
+    SCOPED_TRACE(::testing::Message() << kernel << " threads=8");
+    Telemetry sink;
+    ExactConfig cfg = base_cfg;
+    cfg.threads = 8;
+    cfg.telemetry = &sink;
+    const auto r = runExact(k->build_small(), m, cfg);
+    EXPECT_EQ(r.cert.toJson(), ref.cert.toJson());
+    EXPECT_EQ(r.cert.states, ref.cert.states);
+    EXPECT_EQ(r.best_cost, ref.best_cost);
+    EXPECT_EQ(r.machine_evals, ref.machine_evals);
+    EXPECT_TRUE(ir::canonicallyEqual(r.best, ref.best));
+    EXPECT_EQ(golden::stripWallClock(sink.buffered()), ref_trace);
   }
 }
 

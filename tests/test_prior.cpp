@@ -11,7 +11,7 @@
 //   - in-search contract: predicted-vs-exact Spearman > 0 on real kernel
 //     neighbor sets, topk keeps the best exact neighbor in the recorded
 //     scenarios, and an inert prior (topk=all) leaves search traces
-//     bit-identical to no-prior runs across threads 1/8 x delta/arena on/off
+//     bit-identical to no-prior runs across threads 1/8
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,6 +22,7 @@
 #include <tuple>
 #include <vector>
 
+#include "golden.h"
 #include "ir/canonical.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
@@ -315,30 +316,18 @@ TEST(Prior, TopkKeepsBestExactNeighborInRecordedScenario) {
       << actions.size();
 }
 
-/// Drops every "wall_ms" field from a JSONL trace: the only member whose
-/// value legitimately varies between bit-identical runs.
-std::string stripWallClock(std::string jsonl) {
-  const std::string key = ",\"wall_ms\":";
-  for (std::size_t at; (at = jsonl.find(key)) != std::string::npos;) {
-    std::size_t end = at + key.size();
-    while (end < jsonl.size() && jsonl[end] != ',' && jsonl[end] != '}') ++end;
-    jsonl.erase(at, end - at);
-  }
-  return jsonl;
-}
-
 TEST(Prior, TopkAllIsBitIdenticalToNoPrior) {
   // The escape-hatch contract: a loaded prior at topk=all (0) must leave the
   // search bit-identical to running with no prior at all — same best, same
-  // convergence trace, same telemetry stream — across threads 1/8 x
-  // delta/arena on/off. This is what lets --prior ride in every config
-  // without invalidating PR 9 baselines until -topk is set.
+  // convergence trace, same telemetry stream — across threads 1/8. This is
+  // what lets --prior ride in every config without invalidating recorded
+  // baselines until -topk is set.
   const auto& m = machines::xeon();
   const auto kernel = kernels::makeSoftmax(48, 24);
   const PriorModel prior = trainFromSearch(kernel, m);
   ASSERT_TRUE(prior.valid());
 
-  auto run = [&](const PriorModel* p, int threads, bool delta) {
+  auto run = [&](const PriorModel* p, int threads) {
     Telemetry sink;
     SearchConfig cfg;
     cfg.method = SearchMethod::SimulatedAnnealing;
@@ -346,29 +335,24 @@ TEST(Prior, TopkAllIsBitIdenticalToNoPrior) {
     cfg.budget = 100;
     cfg.seed = 5;
     cfg.threads = threads;
-    cfg.use_delta = delta;
-    cfg.use_arena = delta;
     cfg.telemetry = &sink;
     cfg.prior = p;
     cfg.prior_topk = search::kPriorTopkAll;
     const auto r = search::runSearch(kernel, m, cfg);
     return std::make_tuple(r.best_runtime, r.trace,
-                           stripWallClock(sink.buffered()),
+                           golden::stripWallClock(sink.buffered()),
                            r.stats.prior_filtered);
   };
 
-  const auto ref = run(nullptr, 1, true);
+  const auto ref = run(nullptr, 1);
   for (int threads : {1, 8}) {
-    for (bool delta : {true, false}) {
-      const auto got = run(&prior, threads, delta);
-      EXPECT_EQ(std::get<0>(got), std::get<0>(ref))
-          << "threads=" << threads << " delta=" << delta;
-      EXPECT_EQ(std::get<1>(got), std::get<1>(ref));
-      EXPECT_EQ(std::get<2>(got), std::get<2>(ref));
-      EXPECT_EQ(std::get<3>(got), 0);
-      const auto off = run(nullptr, threads, delta);
-      EXPECT_EQ(std::get<2>(off), std::get<2>(ref));
-    }
+    const auto got = run(&prior, threads);
+    EXPECT_EQ(std::get<0>(got), std::get<0>(ref)) << "threads=" << threads;
+    EXPECT_EQ(std::get<1>(got), std::get<1>(ref));
+    EXPECT_EQ(std::get<2>(got), std::get<2>(ref));
+    EXPECT_EQ(std::get<3>(got), 0);
+    const auto off = run(nullptr, threads);
+    EXPECT_EQ(std::get<2>(off), std::get<2>(ref));
   }
 }
 

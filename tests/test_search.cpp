@@ -1,7 +1,10 @@
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "golden.h"
 
 #include "ir/canonical.h"
 #include "kernels/kernels.h"
@@ -271,26 +274,36 @@ TEST(Search, FiniteMachineReportsNoNonFiniteRejections) {
   EXPECT_TRUE(std::isfinite(r.best_runtime));
 }
 
-/// Drops every "wall_ms" field from a JSONL trace: the only member whose
-/// value legitimately varies between bit-identical runs.
-std::string stripWallClock(std::string jsonl) {
-  const std::string key = ",\"wall_ms\":";
-  for (std::size_t at; (at = jsonl.find(key)) != std::string::npos;) {
-    std::size_t end = at + key.size();
-    while (end < jsonl.size() && jsonl[end] != ',' && jsonl[end] != '}') ++end;
-    jsonl.erase(at, end - at);
+/// The decision stream of an annealing trace: search_eval and sa_step
+/// lines with the memo_hit flag dropped (a run without a memo table
+/// re-prices re-drawn actions instead of hitting, and decides identically).
+std::string decisionLines(const std::string& jsonl) {
+  std::string out;
+  std::size_t start = 0;
+  while (start < jsonl.size()) {
+    std::size_t nl = jsonl.find('\n', start);
+    if (nl == std::string::npos) nl = jsonl.size();
+    std::string line = jsonl.substr(start, nl - start);
+    start = nl + 1;
+    if (line.find("\"type\":\"search_eval\"") == std::string::npos &&
+        line.find("\"type\":\"sa_step\"") == std::string::npos)
+      continue;
+    for (const char* flag : {",\"memo_hit\":true", ",\"memo_hit\":false"})
+      if (const auto at = line.find(flag); at != std::string::npos)
+        line.erase(at, std::string(flag).size());
+    out += line + "\n";
   }
-  return jsonl;
+  return out;
 }
 
 TEST(Search, DeltaAndThreadsPreserveTraceBitIdentity) {
-  // Regression net for the delta-candidate path: on two kernels, every
-  // combination of {threads=1, threads=8} x {delta off, delta on} must make
-  // exactly the decisions of the reference run — same best cost and winning
-  // program, same convergence trace, and a bit-identical JSONL telemetry
-  // stream (visit order, per-step runtimes, acceptance decisions, memo
-  // counters; everything except wall-clock). Any divergence means the
-  // incremental hash disagreed with the full render somewhere in the walk.
+  // Regression net for the delta-candidate path: on two kernels, threads=8
+  // must reproduce the threads=1 run's JSONL telemetry byte for byte (visit
+  // order, per-step runtimes, acceptance decisions, memo counters;
+  // everything except wall-clock), and a run without the memo table — where
+  // every candidate is priced by the model in place on the delta scratch —
+  // must make exactly the same decisions at either thread count. The copy
+  // pipeline itself is the golden-trace suite's reference.
   const auto& m = machines::xeon();
   const std::vector<ir::Program> kernels_under_test = {
       kernels::makeSoftmax(48, 24), kernels::makeMatmul(16, 16, 16)};
@@ -301,25 +314,24 @@ TEST(Search, DeltaAndThreadsPreserveTraceBitIdentity) {
     base.budget = 160;
     base.max_steps = 10;
     base.seed = 7;
-    base.use_cache = true;
 
     Telemetry ref_sink;
     SearchConfig ref_cfg = base;
     ref_cfg.threads = 1;
-    ref_cfg.use_delta = false;
     ref_cfg.telemetry = &ref_sink;
     const auto reference = runSearch(kernel, m, ref_cfg);
-    const std::string ref_trace = stripWallClock(ref_sink.buffered());
+    const std::string ref_trace = golden::stripWallClock(ref_sink.buffered());
     ASSERT_FALSE(ref_trace.empty());
 
     for (int threads : {1, 8}) {
-      for (bool use_delta : {false, true}) {
+      for (bool use_cache : {true, false}) {
+        if (threads == 1 && use_cache) continue;  // the reference
         SCOPED_TRACE(::testing::Message() << "threads=" << threads
-                                          << " delta=" << use_delta);
+                                          << " cache=" << use_cache);
         Telemetry sink;
         SearchConfig cfg = base;
         cfg.threads = threads;
-        cfg.use_delta = use_delta;
+        cfg.use_cache = use_cache;
         cfg.telemetry = &sink;
         const auto r = runSearch(kernel, m, cfg);
         EXPECT_EQ(reference.best_runtime, r.best_runtime);
@@ -328,10 +340,16 @@ TEST(Search, DeltaAndThreadsPreserveTraceBitIdentity) {
         ASSERT_EQ(reference.trace.size(), r.trace.size());
         for (std::size_t i = 0; i < reference.trace.size(); ++i)
           ASSERT_EQ(reference.trace[i], r.trace[i]) << "at eval " << i;
-        // The memo counters in search_end are part of the compared stream:
-        // delta may not change how often the table hits, only what a hit
-        // costs.
-        EXPECT_EQ(stripWallClock(sink.buffered()), ref_trace);
+        const std::string trace = golden::stripWallClock(sink.buffered());
+        if (use_cache) {
+          // The memo counters in search_end are part of the compared
+          // stream: threads may not change how often the table hits.
+          EXPECT_EQ(trace, ref_trace);
+        } else {
+          EXPECT_EQ(decisionLines(trace), decisionLines(ref_trace));
+          EXPECT_EQ(r.stats.machine_evals, r.stats.evals_requested);
+          EXPECT_EQ(r.stats.cache_hits, 0);
+        }
       }
     }
   }
