@@ -3,7 +3,7 @@
 // largest (deepest-tree) Table-3 kernel after a heuristic schedule:
 //
 //   full  — the copy pipeline: q = action.apply(p); canonicalHash(q)
-//   delta — DeltaContext::neighborHash: in-place apply, splice probe over
+//   delta — Neighborhood::neighborHash: in-place apply, splice probe over
 //           the arena's SoA line slab, watermark undo (what the
 //           edges-annealer, graph expansion and exact frontier do)
 //
@@ -30,7 +30,7 @@
 #include "ir/walk.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
-#include "search/delta.h"
+#include "search/neighborhood.h"
 #include "search/pass.h"
 #include "support/telemetry.h"
 #include "transform/transform.h"
@@ -88,14 +88,14 @@ Measurement measure() {
   const int iters = 2000;
   mm.candidates = iters;
 
-  search::DeltaContext dctx;
-  dctx.bind(p);
+  search::Neighborhood nb;
+  nb.bind(p, machines::xeon().caps());
 
   // Warm-up all paths (page in code, populate allocator caches).
   std::uint64_t sink = 0;
   for (std::size_t i = 0; i < actions.size(); ++i) {
     sink ^= ir::canonicalHash(actions[i].apply(p));
-    sink ^= dctx.neighborHash(actions[i]);
+    sink ^= nb.neighborHash(actions[i]);
   }
 
   // Median of kReps interleaved repetitions per path.
@@ -111,7 +111,7 @@ Measurement measure() {
 
     t0 = Clock::now();
     for (int i = 0; i < iters; ++i)
-      sink ^= dctx.neighborHash(actions[i % actions.size()]);
+      sink ^= nb.neighborHash(actions[i % actions.size()]);
     t1 = Clock::now();
     delta_s.push_back(nsPer(t0, t1, iters));
   }

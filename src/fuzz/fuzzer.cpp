@@ -10,7 +10,7 @@
 #include "ir/canonical.h"
 #include "ir/incremental.h"
 #include "kernels/kernels.h"
-#include "search/delta.h"
+#include "search/neighborhood.h"
 #include "support/common.h"
 #include "support/rng.h"
 #include "support/telemetry.h"
@@ -68,20 +68,21 @@ OracleReport actionSetFailure(std::size_t step_index, const std::string& what) {
 }
 
 /// The delta oracle: price the (base, action) pair in place through a
-/// DeltaContext and demand bit-identity with the full copy-based canonical
-/// hash of the applied result. `full_hash` is the caller's already-computed
-/// canonicalHash(action.apply(base)).
+/// search::Neighborhood bound against `caps` and demand bit-identity with
+/// the full copy-based canonical hash of the applied result. `full_hash` is
+/// the caller's already-computed canonicalHash(action.apply(base)).
 OracleReport checkArenaDelta(const ir::Program& base,
+                             const transform::MachineCaps& caps,
                              const transform::Action& a,
                              std::uint64_t full_hash,
                              std::size_t step_index) {
   OracleReport r;
-  search::DeltaContext dctx;
-  dctx.bind(base);
+  search::Neighborhood nb;
+  nb.bind(base, caps);
   std::uint64_t h = 0;
   std::string what;
   try {
-    h = dctx.neighborHash(a);
+    h = nb.neighborHash(a);
   } catch (const Error& e) {
     // The copy-based apply succeeded (full_hash exists), so an in-place
     // refusal is a pricing-path divergence, not an apply-layer finding.
@@ -130,8 +131,9 @@ OracleReport reportForSteps(const ir::Program& original,
       if (!aset.selfCheck(q, &detail)) return actionSetFailure(i, detail);
     }
     if (base) {
-      const auto r = checkArenaDelta(
-          *base, {steps[i].transform, steps[i].loc}, ir::canonicalHash(q), i);
+      const auto r =
+          checkArenaDelta(*base, prof.caps, {steps[i].transform, steps[i].loc},
+                          ir::canonicalHash(q), i);
       if (!r.ok) return r;
     }
   }
@@ -186,9 +188,9 @@ TrajectoryOutcome walkOne(const ir::Program& original, const CapsProfile& prof,
     out.report = checkOracle(original, q, *prof.machine, &cache, opts, &h);
     if (!out.report.ok) return out;
     if (opts.check_arena) {
-      // Arena-delta layer: the same step, priced in place through the delta
-      // context, must produce the hash the copy path just produced.
-      out.report = checkArenaDelta(p, a, ir::canonicalHash(q),
+      // Arena-delta layer: the same step, priced in place through a
+      // Neighborhood, must produce the hash the copy path just produced.
+      out.report = checkArenaDelta(p, prof.caps, a, ir::canonicalHash(q),
                                    out.steps.size() - 1);
       if (!out.report.ok) return out;
     }

@@ -18,7 +18,7 @@
 //   cache      — EvalCache::selfCheck: full-render vs arena-bind
 //                hash agreement and memoized cost vs a fresh machine-model
 //                evaluation
-//   arena-delta — search::DeltaContext prices each walk step's (base,
+//   arena-delta — search::Neighborhood prices each walk step's (base,
 //                action) pair in place (arena probe + undo), and the hash
 //                must agree bit-for-bit with
 //                ir::canonicalHash(action.apply(base)), the copy pipeline.

@@ -1,6 +1,6 @@
 // Arena-flattened canonical form of one program: the allocation-free hot
 // path of delta candidate hashing, and the one incrementally maintained
-// canonical form in the library (search::DeltaContext, transform::History,
+// canonical form in the library (search::Neighborhood, transform::History,
 // the fuzzer's incremental-hash layer). A per-node line cache would pay a
 // map lookup, a hash call and a recursion step per node on every probe even
 // once rendering is cached; the arena avoids all three:
@@ -27,9 +27,9 @@
 //                                              mutation p -> q
 //
 // The arena is strictly read-only after bind(): probe() commits nothing, so
-// a caller that mutates-probes-undoes (search::DeltaContext) never has to
-// reset anything here — that is what makes the context's undo a watermark
-// reset instead of a cache rebuild.
+// a caller that mutates-probes-undoes (search::Neighborhood) never has to
+// reset anything here — that is what makes its undo a watermark reset
+// instead of a cache rebuild.
 #pragma once
 
 #include <cstdint>
@@ -129,7 +129,7 @@ class CanonicalArena {
   // Reused per-probe scratch (rendered dirty lines, dirty slot list, iterator
   // chains). probe() is logically const; these make it allocation-free in
   // steady state. A CanonicalArena is not safe for concurrent probes — each
-  // thread owns its own instance (matching DeltaContext's contract).
+  // thread owns its own instance (matching Neighborhood's contract).
   mutable std::string render_buf_;
   mutable std::vector<std::uint32_t> dirty_slots_;
   mutable std::vector<NodeId> chain_buf_;

@@ -1,7 +1,7 @@
 // The mutation report every in-place transform hands to the incremental
 // consumers of a program: the canonical-form arena (ir::CanonicalArena
-// probe/rebase), the delta pricing context (search::DeltaContext) and the
-// maintained action index (transform::ActionSet).
+// probe/rebase), the delta pricing of a search state (search::Neighborhood)
+// and the maintained action index (transform::ActionSet).
 //
 // FNV-1a is sequential over bytes, so the canonical hash cannot be composed
 // from independent child hashes while staying bit-identical to

@@ -7,13 +7,11 @@
 #include <utility>
 
 #include "ir/canonical.h"
-#include "ir/incremental.h"
-#include "search/delta.h"
+#include "search/neighborhood.h"
 #include "search/parallel_eval.h"
 #include "support/common.h"
 #include "support/numeric.h"
 #include "support/telemetry.h"
-#include "transform/action_set.h"
 
 namespace perfdojo::search {
 
@@ -31,7 +29,9 @@ struct Entry {
 };
 
 /// Expansion of one frontier entry, produced by workers: the materialized
-/// program, its applicable actions, and each child's canonical hash.
+/// program, its applicable actions, and each child's canonical hash. The
+/// Neighborhood that derived them is dropped, so a chunk holds one program
+/// per entry, not an arena and two trees.
 struct Expansion {
   ir::Program program;
   std::vector<Action> actions;
@@ -59,30 +59,6 @@ ir::Program replayOrThrow(const ir::Program& kernel,
   require(p.has_value(),
           "exact tier: recorded trajectory failed to replay: " + rr.message);
   return std::move(*p);
-}
-
-/// Re-materializes a frontier entry while splicing its action index along:
-/// `aset` starts as a copy of the kernel-bound set and is updated from each
-/// replayed step's mutation summary — one splice per step instead of a full
-/// 20-transform enumeration of the final program. The resulting list is
-/// element-identical to allActions on the replayed program.
-ir::Program replayIndexed(const ir::Program& kernel,
-                          const std::vector<Step>& steps,
-                          const transform::ActionSet& kernel_set,
-                          transform::ActionSet& aset) {
-  aset = kernel_set;
-  ir::Program p = kernel;
-  for (const Step& s : steps) {
-    ir::MutationSummary mut;
-    try {
-      s.transform->applyInPlace(p, s.loc, &mut, /*validate=*/true);
-    } catch (const std::exception& e) {
-      require(false, "exact tier: recorded trajectory failed to replay: " +
-                         std::string(e.what()));
-    }
-    aset.update(p, mut);
-  }
-  return p;
 }
 
 std::string witnessJson(const std::vector<Step>& steps) {
@@ -199,12 +175,13 @@ ExactResult runExact(const ir::Program& kernel, const machines::Machine& m,
                             .boolean("prune", cfg.prune)
                             .boolean("dedup", cfg.dedup));
 
-  // Kernel action index, bound once and copied per worker replay (each
-  // worker owns its copy, so the shared one stays untouched). The maintained
-  // lists are element-identical to fresh enumerations, so visit order,
-  // dedup sequence and certificates are those of a re-enumerating frontier.
-  transform::ActionSet kernel_set;
-  kernel_set.bind(kernel, caps);
+  // Kernel Neighborhood, bound once and copied per frontier entry (each
+  // worker owns its copy, so the shared one stays untouched). The derived
+  // action lists are element-identical to fresh enumerations, so visit
+  // order, dedup sequence and certificates are those of a re-enumerating
+  // frontier.
+  Neighborhood kernel_nb;
+  kernel_nb.bind(kernel, caps);
 
   double best_cost = base_cost;
   std::vector<Step> best_steps;
@@ -224,19 +201,30 @@ ExactResult runExact(const ir::Program& kernel, const machines::Machine& m,
     for (std::size_t base = 0; base < frontier.size() && !budget_tripped;
          base += kChunk) {
       const std::size_t n = std::min(kChunk, frontier.size() - base);
-      // Phase A (workers): re-materialize each chunk entry from its replay
-      // path, enumerate its actions, hash every child. Pure per-entry work.
+      // Phase A (workers): re-materialize each chunk entry by accepting its
+      // replay path into a copy of the kernel Neighborhood (one splice per
+      // step, no per-entry enumeration), then hash every child. Pure
+      // per-entry work. accept() skips only the post-mutation structural
+      // validation: every replayed (program, action) pair already passed
+      // Phase C's validated apply when it was admitted, and a step that no
+      // longer applies still throws from isApplicable.
       std::vector<Expansion> ex(n);
       auto expand = [&](std::size_t i) {
-        transform::ActionSet aset;
-        ex[i].program =
-            replayIndexed(kernel, frontier[base + i].steps, kernel_set, aset);
-        ex[i].actions = aset.actions();
+        Neighborhood nb(kernel_nb);
+        for (const Step& s : frontier[base + i].steps) {
+          try {
+            nb.accept({s.transform, s.loc});
+          } catch (const std::exception& e) {
+            require(false,
+                    "exact tier: recorded trajectory failed to replay: " +
+                        std::string(e.what()));
+          }
+        }
+        ex[i].program = nb.base();
+        ex[i].actions = nb.actions();
         ex[i].hashes.resize(ex[i].actions.size());
-        DeltaContext dctx;
-        dctx.bind(ex[i].program);
         for (std::size_t j = 0; j < ex[i].actions.size(); ++j)
-          ex[i].hashes[j] = dctx.neighborHash(ex[i].actions[j]);
+          ex[i].hashes[j] = nb.neighborHash(ex[i].actions[j]);
       };
       if (workers)
         workers->forEach(n, expand);

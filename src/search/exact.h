@@ -5,10 +5,11 @@
 //
 // The frontier is compressed: a state is a canonical hash plus the replay
 // path (transform::Step sequence) that reaches it from the kernel — programs
-// are re-materialized per expansion via History::replay instead of being
-// held resident, so memory stays O(frontier), not O(frontier * tree).
-// States are deduped by the incremental canonical hash (bit-exact), child
-// hashes are priced incrementally through DeltaContext, and subtrees are
+// are re-materialized per expansion by accepting that path into a copy of
+// the kernel's search::Neighborhood instead of being held resident, so
+// memory stays O(frontier), not O(frontier * tree). States are deduped by
+// the incremental canonical hash (bit-exact), child hashes are priced
+// incrementally through the entry's Neighborhood, and subtrees are
 // pruned by Machine::lowerBound — an admissible per-model floor that
 // provably never exceeds evaluate() for the state or any of its descendants.
 //

@@ -4,14 +4,11 @@
 #include <deque>
 
 #include "ir/canonical.h"
-#include "ir/incremental.h"
-#include "search/delta.h"
 #include "search/evalcache.h"
+#include "search/neighborhood.h"
 #include "search/parallel_eval.h"
-#include "search/prior.h"
 #include "support/common.h"
 #include "support/strings.h"
-#include "transform/action_set.h"
 
 namespace perfdojo::search {
 
@@ -28,84 +25,48 @@ TransformationGraph::TransformationGraph(const ir::Program& root,
                                          const machines::Machine& m,
                                          int max_depth, std::size_t max_nodes,
                                          EvalCache* cache,
-                                         ParallelEvaluator* pool,
-                                         const PriorModel* prior,
-                                         int prior_topk) {
+                                         ParallelEvaluator* pool) {
   root_hash_ = ir::canonicalHash(root);
   nodes_[root_hash_] = {root_hash_, root,
                         nodeCost(m, cache, root_hash_, root), 0};
   std::deque<std::uint64_t> frontier;
   if (max_depth > 0) frontier.push_back(root_hash_);
-  DeltaContext delta;
-  // Incremental enumeration: BFS expands all children of one parent
-  // consecutively, so one ActionSet bound to that parent derives every
-  // sibling's action list by replaying the producing action and splicing
-  // from its mutation summary — one full enumeration per PARENT instead of
-  // one per node. `via` remembers which (parent, action) produced each
-  // enqueued node; the maintained lists are element-identical to a fresh
-  // allActions, so the expansion order and the dedup sequence are those of
-  // a re-enumerating expansion.
-  transform::ActionSet parent_set;
-  std::uint64_t parent_set_key = 0;
+  // Derived neighborhoods: BFS expands all children of one parent
+  // consecutively, so one Neighborhood bound to that parent is copied and
+  // advanced by each child's producing action — one full enumeration per
+  // PARENT, a splice per child. `via` remembers which (parent, action)
+  // produced each enqueued node; the derived action lists are
+  // element-identical to a fresh allActions, so the expansion order and the
+  // dedup sequence are those of a re-enumerating expansion.
+  Neighborhood parent_nb;
+  std::uint64_t parent_key = 0;
   std::unordered_map<std::uint64_t, std::pair<std::uint64_t, transform::Action>>
       via;
-  transform::ActionSet aset;
+  Neighborhood nb;
   while (!frontier.empty() && nodes_.size() < max_nodes) {
     const std::uint64_t h = frontier.front();
     frontier.pop_front();
-    const GraphNode& n = nodes_.at(h);
-    const int depth = n.depth;
-    // Copy the program out: expanding mutates the node map.
-    const ir::Program p = n.program;
+    const int depth = nodes_.at(h).depth;
     const auto vit = via.find(h);
     if (vit != via.end()) {
       const std::uint64_t qh = vit->second.first;
-      if (!parent_set.bound() || parent_set_key != qh) {
-        parent_set.bind(nodes_.at(qh).program, m.caps());
-        parent_set_key = qh;
+      if (!parent_nb.bound() || parent_key != qh) {
+        parent_nb.bind(nodes_.at(qh).program, m.caps());
+        parent_key = qh;
       }
-      // apply() assigns ids deterministically from the same parent, so the
-      // replayed summary's ids match the stored program `p` exactly.
-      aset = parent_set;
-      ir::Program scratch = nodes_.at(qh).program;
-      ir::MutationSummary mut;
-      vit->second.second.transform->applyInPlace(
-          scratch, vit->second.second.loc, &mut, /*validate=*/false);
-      aset.update(p, mut);
+      // accept() assigns ids deterministically from the same parent, so the
+      // derived base equals the stored program exactly.
+      nb = parent_nb;
+      nb.accept(vit->second.second);
       via.erase(vit);
     } else {
-      aset.bind(p, m.caps());
+      nb.bind(nodes_.at(h).program, m.caps());
     }
-    const std::vector<transform::Action>& enumerated = aset.actions();
-    delta.bind(p);
-
-    // Prior gate (expansion-side): score each child's canonical text and
-    // keep only the top-k best-predicted actions; the pruned ones are never
-    // hashed, deduplicated or priced. topK returns ascending indices, so
-    // the surviving expansion order matches the unpruned enumeration.
-    std::vector<transform::Action> kept_actions;
-    const bool gate = prior != nullptr && prior->valid() && prior_topk > 0 &&
-                      enumerated.size() > static_cast<std::size_t>(prior_topk);
-    if (gate) {
-      std::vector<double> scores(enumerated.size());
-      for (std::size_t i = 0; i < enumerated.size(); ++i)
-        delta.neighborVisit(enumerated[i],
-                            [&](std::uint64_t, const ir::Program& q) {
-                              scores[i] = prior->predict(
-                                  prior->features(ir::canonicalText(q)));
-                            });
-      const auto keep =
-          PriorModel::topK(scores, static_cast<std::size_t>(prior_topk));
-      kept_actions.reserve(keep.size());
-      for (const std::size_t i : keep) kept_actions.push_back(enumerated[i]);
-      prior_filtered_ +=
-          static_cast<std::int64_t>(enumerated.size() - keep.size());
-    }
-    const std::vector<transform::Action>& actions =
-        gate ? kept_actions : enumerated;
+    const ir::Program& p = nb.base();
+    const std::vector<transform::Action>& actions = nb.actions();
 
     // Phase 1 (serial, in action order): hash each child in place against
-    // `p` (no tree copies; DeltaContext is inherently serial), record
+    // `p` (no tree copies; a Neighborhood is inherently serial), record
     // edges, deduplicate by canonical hash BEFORE any materialization or
     // evaluation, insert new nodes, and enqueue only nodes that are
     // strictly inside the depth limit.
@@ -113,7 +74,7 @@ TransformationGraph::TransformationGraph(const ir::Program& root,
     std::vector<std::size_t> fresh_action;
     for (std::size_t i = 0; i < actions.size(); ++i) {
       if (nodes_.size() >= max_nodes) break;
-      const std::uint64_t ch = delta.neighborHash(actions[i]);
+      const std::uint64_t ch = nb.neighborHash(actions[i]);
       const std::string label = actions[i].describe(p);
       edges_.push_back({h, ch, label});
       if (nodes_.count(ch)) continue;  // reached earlier by another path

@@ -15,7 +15,6 @@ namespace perfdojo::search {
 
 class EvalCache;
 class ParallelEvaluator;
-class PriorModel;
 
 struct GraphNode {
   std::uint64_t hash = 0;
@@ -37,30 +36,23 @@ class TransformationGraph {
   /// exactly once: duplicate-hash candidates are deduplicated *before* any
   /// evaluation, and leaves at the depth limit are never enqueued.
   ///
-  /// Children are identified by incremental (in-place) canonical hashing
-  /// and only the deduplicated fresh nodes are ever materialized into tree
-  /// copies. An optional EvalCache shares costs with other consumers (a
-  /// search run, a Dojo session); an optional ParallelEvaluator materializes
-  /// and prices each parent's unique new children concurrently. Both knobs
-  /// are purely accelerative: the resulting graph is identical with or
-  /// without them.
-  ///
-  /// An optional learned prior (search/prior.h) prunes each parent's action
-  /// list to the `prior_topk` best-predicted children before any hashing or
-  /// evaluation; pruned candidates are counted in priorFiltered(). Unlike
-  /// the knobs above this changes the graph — it is the expansion-side
-  /// analogue of the search drivers' top-k gate. prior_topk == 0 ("all") or
-  /// a null prior leaves the expansion untouched.
+  /// Each node is a search::Neighborhood derived from its parent's by
+  /// accepting the producing action, so children are identified by
+  /// incremental (in-place) canonical hashing and only the deduplicated
+  /// fresh nodes are ever materialized into tree copies. An optional
+  /// EvalCache shares costs with other consumers (a search run, a Dojo
+  /// session); an optional ParallelEvaluator materializes and prices each
+  /// parent's unique new children concurrently. Both knobs are purely
+  /// accelerative: the resulting graph is identical with or without them.
+  /// Every applicable action is expanded: the learned prior's top-k filter
+  /// belongs to the SA-edges annealer alone (SearchConfig::prior).
   TransformationGraph(const ir::Program& root, const machines::Machine& m,
                       int max_depth, std::size_t max_nodes,
                       EvalCache* cache = nullptr,
-                      ParallelEvaluator* pool = nullptr,
-                      const PriorModel* prior = nullptr, int prior_topk = 0);
+                      ParallelEvaluator* pool = nullptr);
 
   std::size_t nodeCount() const { return nodes_.size(); }
   std::size_t edgeCount() const { return edges_.size(); }
-  /// Candidate children skipped by the prior gate before evaluation.
-  std::int64_t priorFiltered() const { return prior_filtered_; }
   const std::map<std::uint64_t, GraphNode>& nodes() const { return nodes_; }
   const std::vector<GraphEdge>& edges() const { return edges_; }
 
@@ -76,7 +68,6 @@ class TransformationGraph {
 
  private:
   std::uint64_t root_hash_ = 0;
-  std::int64_t prior_filtered_ = 0;
   std::map<std::uint64_t, GraphNode> nodes_;
   std::vector<GraphEdge> edges_;
   std::map<std::uint64_t, std::pair<std::uint64_t, std::string>> parent_;

@@ -1,5 +1,6 @@
-#include "search/delta.h"
+#include "search/neighborhood.h"
 
+#include "ir/incremental.h"
 #include "support/common.h"
 
 namespace perfdojo::search {
@@ -13,23 +14,43 @@ void indexNodes(const ir::Node& n, std::vector<const ir::Node*>& index) {
 
 }  // namespace
 
-void DeltaContext::bind(const ir::Program& base) {
+Neighborhood& Neighborhood::operator=(const Neighborhood& o) {
+  if (this == &o) return *this;
+  base_ = o.base_;
+  scratch_ = o.scratch_;
+  arena_ = o.arena_;
+  aset_ = o.aset_;
+  base_hash_ = o.base_hash_;
+  bound_ = o.bound_;
+  stats_ = o.stats_;
+  // The source's index points into the source's base_; aim ours at ours.
+  reindex();
+  return *this;
+}
+
+void Neighborhood::bind(const ir::Program& base,
+                        const transform::MachineCaps& caps) {
   base_ = base;
   scratch_ = base_;
   arena_.bind(base_);
   base_hash_ = arena_.hash();
-  base_index_.assign(base_.next_id, nullptr);
-  indexNodes(base_.root, base_index_);
+  aset_.bind(base_, caps);
+  reindex();
   bound_ = true;
 }
 
-std::uint64_t DeltaContext::neighborHash(const transform::Action& a) {
+void Neighborhood::reindex() {
+  base_index_.assign(base_.next_id, nullptr);
+  indexNodes(base_.root, base_index_);
+}
+
+std::uint64_t Neighborhood::neighborHash(const transform::Action& a) {
   return neighborVisit(a, nullptr);
 }
 
-std::uint64_t DeltaContext::neighborVisit(const transform::Action& a,
+std::uint64_t Neighborhood::neighborVisit(const transform::Action& a,
                                           const NeighborVisitor& visit) {
-  require(bound_, "DeltaContext: bind() a base program first");
+  require(bound_, "Neighborhood: bind() a base program first");
   ++stats_.neighbors_hashed;
   ir::MutationSummary mut;
   try {
@@ -49,16 +70,17 @@ std::uint64_t DeltaContext::neighborVisit(const transform::Action& a,
   } catch (...) {
     // Any throw in the mutate/probe/undo sequence — not just the apply — may
     // leave scratch_ partially mutated; resynchronize before propagating so
-    // the context stays usable and the next neighbor hashes bit-exactly.
+    // the Neighborhood stays usable and the next neighbor hashes bit-exactly.
     // The canonical form was never touched, so it still renders the base.
     scratch_ = base_;
     throw;
   }
 }
 
-const ir::Program& DeltaContext::accept(const transform::Action& a,
-                                        ir::MutationSummary* mut_out) {
-  require(bound_, "DeltaContext: bind() a base program first");
+const ir::Program& Neighborhood::accept(const transform::Action& a) {
+  require(bound_, "Neighborhood: bind() a base program first");
+  // `a` may live in the action list the splice below rewrites.
+  const transform::Action chosen = a;
   ir::MutationSummary mut;
   try {
     // validate=false skips only the post-mutation structural validation (an
@@ -67,13 +89,13 @@ const ir::Program& DeltaContext::accept(const transform::Action& a,
     // stale or forged locations throw either way, and transform-apply bugs
     // are the apply/interp oracle layers' and the property suite's job, on
     // every path including this one.
-    a.transform->applyInPlace(scratch_, a.loc, &mut, /*validate=*/false);
+    chosen.transform->applyInPlace(scratch_, chosen.loc, &mut,
+                                   /*validate=*/false);
   } catch (...) {
-    scratch_ = base_;  // context keeps describing the old base, usable
+    scratch_ = base_;  // still describes the old base, fully usable
     throw;
   }
   ++stats_.accepts;
-  if (mut_out) *mut_out = mut;
   arena_.rebase(scratch_, mut);
   base_hash_ = arena_.hash();
   // Fold the accepted mutation into base_ — the undo in reverse: copy only
@@ -94,19 +116,19 @@ const ir::Program& DeltaContext::accept(const transform::Action& a,
                           ? const_cast<ir::Node*>(base_index_[id])
                           : nullptr;
       require(dst != nullptr && src != nullptr,
-              "DeltaContext: dirty subtree " + std::to_string(id) +
+              "Neighborhood: dirty subtree " + std::to_string(id) +
                   " missing during accept (bad mutation report)");
       *dst = *src;
     }
   } else {
     base_ = scratch_;
   }
-  base_index_.assign(base_.next_id, nullptr);
-  indexNodes(base_.root, base_index_);
+  reindex();
+  aset_.update(base_, mut);
   return base_;
 }
 
-ir::Node* DeltaContext::locateScratch(ir::NodeId id) {
+ir::Node* Neighborhood::locateScratch(ir::NodeId id) {
   const std::int32_t slot = arena_.slotOf(id);
   if (slot < 0) return nullptr;
   // The arena's parent column gives the base ancestor chain; by the
@@ -129,7 +151,7 @@ ir::Node* DeltaContext::locateScratch(ir::NodeId id) {
   return nullptr;
 }
 
-void DeltaContext::undo(const ir::MutationSummary& mut) {
+void Neighborhood::undo(const ir::MutationSummary& mut) {
   if (mut.whole_tree) {
     scratch_ = base_;
     return;
@@ -144,7 +166,7 @@ void DeltaContext::undo(const ir::MutationSummary& mut) {
     const ir::Node* src = id < base_index_.size() ? base_index_[id] : nullptr;
     ir::Node* dst = locateScratch(id);
     require(dst != nullptr && src != nullptr,
-            "DeltaContext: dirty subtree " + std::to_string(id) +
+            "Neighborhood: dirty subtree " + std::to_string(id) +
                 " missing during undo (bad mutation report)");
     *dst = *src;
   }

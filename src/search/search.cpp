@@ -8,16 +8,15 @@
 #include <unordered_set>
 
 #include "ir/canonical.h"
-#include "ir/incremental.h"
-#include "search/delta.h"
-#include "transform/action_set.h"
 #include "search/evalcache.h"
+#include "search/neighborhood.h"
 #include "search/parallel_eval.h"
 #include "search/pass.h"
 #include "search/prior.h"
 #include "search/prior_train.h"
 #include "support/common.h"
 #include "support/telemetry.h"
+#include "transform/action_set.h"
 
 namespace perfdojo::search {
 
@@ -207,7 +206,8 @@ struct Tracker {
                                // thread only, so the event order is fixed
   bool trace_programs = false;  // add canonical text to search_eval events
 
-  // Prior-gate accounting (edges drivers fill these when a prior is active):
+  // Prior-gate accounting (the SA-edges annealer fills these when a prior is
+  // active):
   // skipped neighbors, and (predicted, exact) pairs plus the improving count
   // for every kept candidate that reached exact pricing.
   std::int64_t prior_filtered = 0;
@@ -303,10 +303,10 @@ class DeferredEvals {
 
 constexpr double kPendingRuntime = -1.0;
 
-/// Per-state neighbor filter around the learned prior: rebind() scores a
-/// state's whole neighbor set from canonical text and keeps the top-k
-/// best-predicted indices drawable; everything else is skipped before any
-/// exact pricing and counted in Tracker::prior_filtered.
+/// Per-state neighbor filter around the learned prior, used by the SA-edges
+/// annealer: rebind() scores a state's whole neighbor set from canonical
+/// text and keeps the top-k best-predicted indices drawable; everything else
+/// is skipped before any exact pricing and counted in Tracker::prior_filtered.
 ///
 /// Determinism contract: the filter runs on the decision thread, scoring is
 /// a pure function of (model, canonical text), and the kept list is returned
@@ -324,30 +324,19 @@ class PriorGate {
     active_ = prior_ != nullptr && prior_->valid() && topk_ > 0;
   }
 
-  bool active() const { return active_; }
-
-  /// Rescores for a new current state. `dctx` (when non-null and bound to
-  /// `cur`) renders neighbors in place on the delta scratch; otherwise each
-  /// neighbor is applied into a copy just for scoring.
-  void rebind(const std::vector<Action>& actions, const ir::Program& cur,
-              DeltaContext* dctx) {
+  /// Rescores for the state `nb` is bound to, rendering each neighbor in
+  /// place on its scratch tree.
+  void rebind(Neighborhood& nb) {
+    const std::vector<Action>& actions = nb.actions();
     scores_.clear();
     allowed_.resize(actions.size());
     for (std::size_t i = 0; i < allowed_.size(); ++i) allowed_[i] = i;
     if (!active_ || actions.size() <= topk_) return;
     scores_.resize(actions.size());
-    for (std::size_t i = 0; i < actions.size(); ++i) {
-      std::string text;
-      if (dctx) {
-        dctx->neighborVisit(actions[i],
-                            [&](std::uint64_t, const ir::Program& q) {
-                              text = ir::canonicalText(q);
-                            });
-      } else {
-        text = ir::canonicalText(actions[i].apply(cur));
-      }
-      scores_[i] = prior_->predict(prior_->features(text));
-    }
+    for (std::size_t i = 0; i < actions.size(); ++i)
+      nb.neighborVisit(actions[i], [&](std::uint64_t, const ir::Program& q) {
+        scores_[i] = prior_->predict(prior_->features(ir::canonicalText(q)));
+      });
     allowed_ = PriorModel::topK(scores_, topk_);
     tr_.prior_filtered +=
         static_cast<std::int64_t>(actions.size() - allowed_.size());
@@ -356,15 +345,11 @@ class PriorGate {
   /// Drawable indices into the state's action list (ascending).
   const std::vector<std::size_t>& allowed() const { return allowed_; }
 
-  /// Whether the current state was actually scored (active and over-budget
-  /// neighbor set); only scored states contribute co-evolution pairs.
-  bool scored() const { return !scores_.empty(); }
-  double scoreOf(std::size_t ai) const { return scores_[ai]; }
-
   /// Logs one kept candidate's exact price against its prediction; `ref_rt`
-  /// is the cost the candidate had to beat (current state / parent).
+  /// is the cost the candidate had to beat (the current state). Only scored
+  /// states (active gate, over-budget neighbor set) contribute pairs.
   void note(std::size_t ai, double exact_rt, double ref_rt) {
-    if (!scored()) return;
+    if (scores_.empty()) return;
     tr_.prior_pred.push_back(scores_[ai]);
     tr_.prior_exact.push_back(exact_rt);
     if (exact_rt < ref_rt) ++tr_.prior_improving;
@@ -408,13 +393,6 @@ void randomSamplingEdges(const ir::Program& kernel,
   // stays exact).
   transform::ActionSet aset;
   std::size_t cached_pi = static_cast<std::size_t>(-1);
-  // The prior gate follows the same reuse pattern as the ActionSet: a drawn
-  // parent's neighbor scores stay valid until the draw moves to another pool
-  // entry (entries are immutable), so rescoring happens once per parent
-  // streak, not once per draw. The allowed indices target the deterministic
-  // action enumeration, which the index reproduces element for element.
-  PriorGate gate(cfg, tr);
-  std::size_t gate_pi = static_cast<std::size_t>(-1);
   // Parent draws depend only on parent_runtime values (known at submission
   // time), never on a candidate's own cost, so evaluations can lag behind
   // proposals by a full batch without changing any decision.
@@ -437,37 +415,19 @@ void randomSamplingEdges(const ir::Program& kernel,
       continue;
     }
     barren = 0;
-    if (pi != gate_pi) {
-      gate.rebind(actions, parent.program, nullptr);
-      gate_pi = pi;
-    }
-    const std::vector<std::size_t>& allowed = gate.allowed();
-    const std::size_t ai = allowed[rng.uniform(allowed.size())];
-    const auto& a = actions[ai];
+    const auto& a = actions[rng.uniform(actions.size())];
     ir::Program child = a.apply(parent.program);
     const double parent_rt = parent.runtime;  // before push_back invalidates
     const std::size_t slot = pool.size();     // the `parent` reference
     pool.push_back({child, kPendingRuntime, parent_rt});
-    // The exact price arrives at flush time; log the co-evolution pair then
-    // (flush resolves callbacks in submission order on the decision thread,
-    // so the pair sequence is as deterministic as the trace itself).
-    const bool noted = gate.scored();
-    const double pred = noted ? gate.scoreOf(ai) : 0.0;
-    batch.submit(std::move(child),
-                 [&pool, slot, &tr, noted, pred, parent_rt](double rt) {
-                   pool[slot].runtime = poolRuntime(rt);
-                   if (noted) {
-                     tr.prior_pred.push_back(pred);
-                     tr.prior_exact.push_back(rt);
-                     if (rt < parent_rt) ++tr.prior_improving;
-                   }
-                 });
+    batch.submit(std::move(child), [&pool, slot](double rt) {
+      pool[slot].runtime = poolRuntime(rt);
+    });
     if (batch.inFlight() >= ev.batchLimit()) batch.flush();
     if (pool.size() > 4096) {
       batch.flush();  // resolve slot indices before compacting
       pool.erase(pool.begin(), pool.begin() + 1024);
       cached_pi = static_cast<std::size_t>(-1);  // indices shifted
-      gate_pi = static_cast<std::size_t>(-1);
     }
   }
   batch.flush();
@@ -477,44 +437,39 @@ void randomSamplingEdges(const ir::Program& kernel,
 void annealingEdges(const ir::Program& kernel, const machines::Machine& m,
                     const SearchConfig& cfg, Eval& ev, Tracker& tr) {
   Rng rng(cfg.seed);
-  // The accepted state lives in the DeltaContext's base and `cur` aims at it
+  // The accepted state lives in the Neighborhood's base and `cur` aims at it
   // directly, so an accepted move never copies the program back out. Fresh
   // neighbors are hashed incrementally against it and model-priced in place
-  // on the delta scratch — a full tree copy happens only on a new best. The
+  // on its scratch tree — a full tree copy happens only on a new best. The
   // hash is bit-identical to canonicalHash(apply(cur)), so the decision
   // sequence, counters and telemetry are those of the copy pipeline.
-  DeltaContext dctx;
-  dctx.bind(kernel);
-  const ir::Program& cur = dctx.base();
+  Neighborhood nb;
+  nb.bind(kernel, m.caps());
+  const ir::Program& cur = nb.base();
   double cur_rt = ev.cost(cur);
   const double base_rt = cur_rt;
   tr.record(cur, cur_rt);
   double temp = cfg.sa_t0;
   int steps = 0;
-  // The action list of `cur` is stable while `cur` is unchanged (enumeration
-  // is deterministic), and an accepted move splices it from the mutation
-  // summary (transform::ActionSet) instead of re-enumerating. The
-  // maintained list is element-identical to a fresh enumeration, so
-  // ai-indexed draws land on the same action either way. Each action's
-  // candidate cost is memoized per state: a re-drawn action costs a table
-  // lookup instead of a probe + evaluate. Cost values are identical, so the
-  // decision sequence matches a memo-free run exactly.
-  transform::ActionSet aset;
-  aset.bind(cur, m.caps());
-  const std::vector<Action>& actions = aset.actions();
+  // The action list of `cur` is stable while `cur` is unchanged, and an
+  // accepted move splices it instead of re-enumerating; it is
+  // element-identical to a fresh enumeration, so ai-indexed draws land on
+  // the same action either way. Each action's candidate cost is memoized
+  // per state: a re-drawn action costs a table lookup instead of a probe +
+  // evaluate. Cost values are identical, so the decision sequence matches a
+  // memo-free run exactly.
+  const std::vector<Action>& actions = nb.actions();
   std::vector<double> action_cost(actions.size(), kPendingRuntime);
-  // Prior gate: rescored at every state (re)bind, after the delta context is
-  // aimed at the new state so scoring can render neighbors in place.
+  // Prior gate: rescored at every state (re)bind.
   PriorGate gate(cfg, tr);
-  gate.rebind(actions, cur, &dctx);
+  gate.rebind(nb);
   while (!tr.exhausted()) {
     if (actions.empty() || steps >= cfg.max_steps) {
-      dctx.bind(kernel);  // restart from the source program
+      nb.bind(kernel, m.caps());  // restart from the source program
       cur_rt = base_rt;
       steps = 0;
-      aset.bind(cur, m.caps());
       action_cost.assign(actions.size(), kPendingRuntime);
-      gate.rebind(actions, cur, &dctx);
+      gate.rebind(nb);
       if (actions.empty()) {
         tr.reason = TerminationReason::Stall;
         break;  // nothing applicable at the root: done
@@ -532,14 +487,13 @@ void annealingEdges(const ir::Program& kernel, const machines::Machine& m,
       rt = action_cost[ai];
       ev.countMemoHit();
     } else {
-      // Price the neighbor while it is still live in the delta scratch: the
+      // Price the neighbor while it is still live on the scratch tree: the
       // probe pass already applied it, so a memo miss evaluates the model in
       // place instead of paying a.apply(cur) (a full base copy plus a
       // second, validated apply).
-      dctx.neighborVisit(actions[ai],
-                         [&](std::uint64_t h, const ir::Program& q) {
-                           rt = ev.costInPlace(h, q);
-                         });
+      nb.neighborVisit(actions[ai], [&](std::uint64_t h, const ir::Program& q) {
+        rt = ev.costInPlace(h, q);
+      });
       action_cost[ai] = rt;
       gate.note(ai, rt, cur_rt);
     }
@@ -559,18 +513,13 @@ void annealingEdges(const ir::Program& kernel, const machines::Machine& m,
               .boolean("accepted", accepted)
               .boolean("memo_hit", memo_hit));
     if (accepted) {
-      // accept() applies the move, rebases the canonical form in place
-      // (O(dirty subtree)) and hands back the summary the action index
-      // splices from. Copy the chosen action out first: the splice rewrites
-      // the list it lives in.
-      const Action chosen = actions[ai];
-      ir::MutationSummary mut;
-      dctx.accept(chosen, &mut);
+      // accept() applies the move, rebases the canonical form and splices
+      // the action list in place (O(dirty subtree)).
+      nb.accept(actions[ai]);
       cur_rt = rt;
       ++steps;
-      aset.update(cur, mut);
       action_cost.assign(actions.size(), kPendingRuntime);
-      gate.rebind(actions, cur, &dctx);
+      gate.rebind(nb);
     }
     temp *= cfg.sa_decay;  // decays once per recorded evaluation
   }
@@ -803,9 +752,10 @@ SearchResult runSearch(const ir::Program& kernel, const machines::Machine& m,
   ev.fillStats(r.stats);
   r.stats.nonfinite_rejected = tr.nonfinite;
   // Co-evolution diagnostics: how the prior's predictions fared against the
-  // exact prices it let through. Only the edges drivers consult the gate.
+  // exact prices it let through. Only the SA-edges annealer consults it.
   const bool prior_active = cfg.prior != nullptr && cfg.prior->valid() &&
                             cfg.prior_topk > 0 &&
+                            cfg.method == SearchMethod::SimulatedAnnealing &&
                             cfg.structure == SpaceStructure::Edges;
   r.stats.prior_filtered = tr.prior_filtered;
   r.stats.prior_kept = static_cast<std::int64_t>(tr.prior_pred.size());

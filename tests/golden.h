@@ -1,9 +1,14 @@
-// Golden search traces: byte-for-byte references under tests/data/search,
-// recorded from the copy pipeline (apply-copy + full re-render, actions
-// re-enumerated per state, no prefetching). The shipping pipeline (delta
-// pricing on the canonical-form arena, maintained ActionSet, rebase on
-// accept) must reproduce them at any thread count. On a mismatch the fresh
-// bytes are written under the test build directory for diffing.
+// Golden search traces: byte-for-byte references under tests/data/search.
+// The ungated ones were recorded from the copy pipeline (apply-copy + full
+// re-render, actions re-enumerated per state, no prefetching). The
+// prior-gated SA trace (anneal_edges_prior_softmax_xeon.jsonl, with its
+// model file prior_softmax_xeon.txt) was recorded from the shipping pipeline
+// of the commit before search::Neighborhood existed, whose gate already
+// scored neighbors in place. The shipping pipeline (delta pricing on the
+// canonical-form arena, maintained action list, rebase on accept — one
+// search::Neighborhood per state) must reproduce them all at any thread
+// count. On a mismatch the fresh bytes are written under the test build
+// directory for diffing.
 //
 // A change that is meant to alter search decisions or costs re-records a
 // golden by copying the fresh file the failing test names over it.
@@ -19,6 +24,7 @@
 #include "kernels/kernels.h"
 #include "machines/machine.h"
 #include "search/graph.h"
+#include "search/prior.h"
 #include "search/search.h"
 #include "support/numeric.h"
 #include "support/telemetry.h"
@@ -78,8 +84,10 @@ inline void expectGolden(const std::string& name, const std::string& variant,
 /// recorded with (xeon, budget 160, max_steps 10, seed 7) at 1 and 8 threads
 /// and requires each trace to reproduce the golden byte for byte — visit
 /// order, per-step runtimes, acceptance decisions and memo counters,
-/// everything except wall-clock.
-inline void expectAnnealEdgesGolden(const std::string& label) {
+/// everything except wall-clock. A `prior` gates the run at top-k 6 against
+/// anneal_edges_prior_<label>_xeon.jsonl and must actually filter.
+inline void expectAnnealEdgesGolden(const std::string& label,
+                                    const search::PriorModel* prior = nullptr) {
   const ir::Program kernel = kernels::findKernel(label)->build();
   for (int threads : {1, 8}) {
     SCOPED_TRACE(::testing::Message() << label << " threads=" << threads);
@@ -92,10 +100,18 @@ inline void expectAnnealEdgesGolden(const std::string& label) {
     cfg.seed = 7;
     cfg.threads = threads;
     cfg.telemetry = &sink;
+    if (prior) {
+      cfg.prior = prior;
+      cfg.prior_topk = 6;
+    }
     const auto r = search::runSearch(kernel, machines::xeon(), cfg);
     EXPECT_EQ(r.evals, 160);
     EXPECT_EQ(r.stats.primed_evals, 0);
-    expectGolden("anneal_edges_" + label + "_xeon.jsonl",
+    if (prior) {
+      EXPECT_GT(r.stats.prior_filtered, 0);
+    }
+    expectGolden(std::string("anneal_edges_") + (prior ? "prior_" : "") +
+                     label + "_xeon.jsonl",
                  "threads" + std::to_string(threads),
                  stripWallClock(sink.buffered()));
   }

@@ -1,6 +1,6 @@
 // Property and bit-identity suite for the incrementally maintained action
 // index (transform::ActionSet) and the arena rebase-on-accept path
-// (ir::CanonicalArena::rebase, search::DeltaContext::accept).
+// (ir::CanonicalArena::rebase, search::Neighborhood::accept).
 //
 // The contract under test (see src/transform/action_set.h): after every
 // bind()/update() the maintained list is element-identical — same elements,
@@ -25,10 +25,10 @@
 #include "ir/incremental.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
-#include "search/delta.h"
 #include "search/evalcache.h"
 #include "search/exact.h"
 #include "search/graph.h"
+#include "search/neighborhood.h"
 #include "search/parallel_eval.h"
 #include "search/search.h"
 #include "support/io.h"
@@ -192,20 +192,21 @@ TEST(Rebase, ConservativeSummaryEqualsFreshBind) {
 }
 
 TEST(Rebase, DeltaAcceptMatchesRebindOnBothBackends) {
-  // The accepted-move path against its reference: a context that rebases in
-  // place after accept() must stay bit-identical — base hash, program and
-  // neighbor pricing — to a fresh bind of a.apply(base).
+  // The accepted-move path against its reference: a Neighborhood that
+  // rebases in place after accept() must stay bit-identical — base hash,
+  // program and neighbor pricing — to a fresh bind of a.apply(base).
+  const auto& caps = machines::xeon().caps();
   ir::Program p = kernels::findKernel("softmax")->build();
-  DeltaContext fast;
-  fast.bind(p);
+  Neighborhood fast;
+  fast.bind(p, caps);
   Rng rng(41);
   for (int step = 0; step < 8; ++step) {
     const auto actions = transform::allActions(p, machines::xeon().caps());
     if (actions.empty()) break;
     const auto& a = actions[rng.uniform(actions.size())];
     const ir::Program next = a.apply(p);
-    DeltaContext fresh;
-    fresh.bind(next);
+    Neighborhood fresh;
+    fresh.bind(next, caps);
     const ir::Program& pf = fast.accept(a);
     ASSERT_EQ(fast.baseHash(), fresh.baseHash()) << "step " << step;
     ASSERT_EQ(fast.baseHash(), ir::canonicalHash(pf)) << "step " << step;
@@ -219,15 +220,15 @@ TEST(Rebase, DeltaAcceptMatchesRebindOnBothBackends) {
   EXPECT_EQ(fast.stats().accepts, 8);
 }
 
-TEST(ActionSet, SearchTracesBitIdenticalIndexOnOffAcrossThreads) {
+TEST(ActionSet, MatmulAnnealTraceMatchesGoldenAcrossThreads) {
   // The annealer reuses one maintained index per accepted state; its golden
   // was recorded with the index off (actions re-enumerated per state, copy
   // pricing) and must reproduce at threads 1 and 8. Matmul here; softmax in
-  // ArenaDelta.SearchTracesBitIdenticalArenaOnOffAcrossThreads.
+  // ArenaDelta.SoftmaxAnnealTraceMatchesGoldenAcrossThreads.
   golden::expectAnnealEdgesGolden("matmul");
 }
 
-TEST(ActionSet, RandomSamplingTracesBitIdenticalIndexOnOff) {
+TEST(ActionSet, RandomSamplingTraceMatchesGoldenAcrossThreads) {
   // The sampling pool reuses one bound index per parent streak; the golden
   // was recorded with the index off (fresh allActions per draw).
   const auto& m = machines::xeon();
@@ -251,9 +252,9 @@ TEST(ActionSet, RandomSamplingTracesBitIdenticalIndexOnOff) {
   }
 }
 
-TEST(ActionSet, GraphExpansionIdenticalIndexOnOff) {
-  // The BFS graph derives each child's action set from its parent's via the
-  // producing action's summary; the graph must be node- and edge-identical
+TEST(ActionSet, GraphExpansionMatchesGoldenSerialAndPooled) {
+  // The BFS graph derives each child's Neighborhood from its parent's by
+  // accepting the producing action; the graph must be node- and edge-identical
   // to the golden re-enumerating, copy-hashing expansion, serially and with
   // eight workers materializing and pricing.
   const ir::Program p = kernels::findKernel("softmax")->build();
@@ -269,10 +270,10 @@ TEST(ActionSet, GraphExpansionIdenticalIndexOnOff) {
                        golden::graphListing(parallel));
 }
 
-TEST(ActionSet, ExactCertificatesBitIdenticalIndexOnOffAcrossThreads) {
-  // The exact tier's frontier re-materialization replays trajectories through
-  // a copied kernel-bound index; its proof objects must match the checked-in
-  // certificate, which was recorded before the index existed.
+TEST(ActionSet, ExactCertificateMatchesCheckedInAcrossThreads) {
+  // The exact tier re-materializes frontier entries by accepting their
+  // replay paths into a copied kernel Neighborhood; its proof objects must
+  // match the checked-in certificate, recorded before the index existed.
   ExactCertificate want;
   std::string err;
   ASSERT_TRUE(parseCertificate(

@@ -1,8 +1,8 @@
 // Property and bit-identity suite for the arena-backed delta pricing path.
 //
-// The contract under test (see src/search/delta.h): DeltaContext's
+// The contract under test (see src/search/neighborhood.h): a Neighborhood's
 // neighborHash(a) equals ir::canonicalHash(a.apply(base)) — the copy
-// pipeline — bit-for-bit, a throwing action leaves the context fully
+// pipeline — bit-for-bit, a throwing action leaves it fully
 // resynchronized, and an annealing run reproduces the golden traces the
 // copy pipeline recorded (no arena, no delta), on one thread or eight.
 //
@@ -19,7 +19,7 @@
 #include "ir/walk.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
-#include "search/delta.h"
+#include "search/neighborhood.h"
 #include "search/pass.h"
 #include "support/common.h"
 #include "transform/transform.h"
@@ -55,18 +55,18 @@ TEST(ArenaDelta, NeighborHashMatchesCopyHash) {
     const auto actions = transform::allActions(p, machines::xeon().caps());
     ASSERT_FALSE(actions.empty());
     SCOPED_TRACE(::testing::Message() << ir::nodeCount(p.root) << " nodes");
-    DeltaContext dctx;
-    dctx.bind(p);
-    EXPECT_EQ(dctx.baseHash(), ir::canonicalHash(p));
+    Neighborhood nb;
+    nb.bind(p, machines::xeon().caps());
+    EXPECT_EQ(nb.baseHash(), ir::canonicalHash(p));
     // Two full passes over the neighbor set: the second proves the
     // watermark undo restored the scratch state exactly after every single
     // mutation of the first.
     for (int pass = 0; pass < 2; ++pass) {
       for (const auto& a : actions)
-        ASSERT_EQ(dctx.neighborHash(a), ir::canonicalHash(a.apply(p)))
+        ASSERT_EQ(nb.neighborHash(a), ir::canonicalHash(a.apply(p)))
             << "pass " << pass << ": " << a.describe(p);
     }
-    EXPECT_EQ(dctx.stats().neighbors_hashed,
+    EXPECT_EQ(nb.stats().neighbors_hashed,
               2 * static_cast<std::int64_t>(actions.size()));
   }
 }
@@ -79,17 +79,17 @@ TEST(ArenaDelta, ThrowingActionLeavesContextBitExact) {
   const auto poison = poisonAction();
   for (const auto& p : propertyCorpus()) {
     const auto actions = transform::allActions(p, machines::xeon().caps());
-    DeltaContext dctx;
-    dctx.bind(p);
+    Neighborhood nb;
+    nb.bind(p, machines::xeon().caps());
     for (const auto& a : actions) {
-      EXPECT_THROW(dctx.neighborHash(poison), Error);
-      ASSERT_EQ(dctx.neighborHash(a), ir::canonicalHash(a.apply(p)))
+      EXPECT_THROW(nb.neighborHash(poison), Error);
+      ASSERT_EQ(nb.neighborHash(a), ir::canonicalHash(a.apply(p)))
           << "after a throwing action: " << a.describe(p);
     }
-    // The context survives rebinding after all that abuse.
+    // The Neighborhood survives rebinding after all that abuse.
     const ir::Program q = actions.front().apply(p);
-    dctx.bind(q);
-    EXPECT_EQ(dctx.baseHash(), ir::canonicalHash(q));
+    nb.bind(q, machines::xeon().caps());
+    EXPECT_EQ(nb.baseHash(), ir::canonicalHash(q));
   }
 }
 
@@ -99,28 +99,28 @@ TEST(ArenaDelta, BackendsAgreeAlongAGreedyWalk) {
   // place) and require every neighbor of every intermediate state to hash
   // as its apply-copy does, and every accepted base to equal the copy.
   ir::Program p = kernels::findKernel("softmax")->build();
-  DeltaContext dctx;
-  dctx.bind(p);
+  Neighborhood nb;
+  nb.bind(p, machines::xeon().caps());
   for (int depth = 0; depth < 6; ++depth) {
     const auto actions = transform::allActions(p, machines::xeon().caps());
     if (actions.empty()) break;
     for (const auto& a : actions)
-      ASSERT_EQ(dctx.neighborHash(a), ir::canonicalHash(a.apply(p)))
+      ASSERT_EQ(nb.neighborHash(a), ir::canonicalHash(a.apply(p)))
           << "depth " << depth << ": " << a.describe(p);
     const auto& pick = actions[static_cast<std::size_t>(depth) %
                                actions.size()];
     const ir::Program next = pick.apply(p);
-    ASSERT_TRUE(ir::canonicallyEqual(dctx.accept(pick), next));
-    ASSERT_EQ(dctx.baseHash(), ir::canonicalHash(next)) << "depth " << depth;
+    ASSERT_TRUE(ir::canonicallyEqual(nb.accept(pick), next));
+    ASSERT_EQ(nb.baseHash(), ir::canonicalHash(next)) << "depth " << depth;
     p = next;
   }
 }
 
-TEST(ArenaDelta, SearchTracesBitIdenticalArenaOnOffAcrossThreads) {
+TEST(ArenaDelta, SoftmaxAnnealTraceMatchesGoldenAcrossThreads) {
   // The goldens were recorded by the copy pipeline (arena and delta off,
   // actions re-enumerated, no prefetch) at threads 1; the shipping pipeline
   // must reproduce them on one thread or eight. Softmax here; matmul in
-  // ActionSet.SearchTracesBitIdenticalIndexOnOffAcrossThreads.
+  // ActionSet.MatmulAnnealTraceMatchesGoldenAcrossThreads.
   golden::expectAnnealEdgesGolden("softmax");
 }
 

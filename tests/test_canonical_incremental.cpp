@@ -5,7 +5,7 @@
 // and telemetry key on. Covers every Table-3 kernel crossed with every
 // applicable transform (single-step exhaustive, read-only probe and in-place
 // rebase) and with seeded random trajectories (multi-step, History
-// push/undo + DeltaContext hash/undo), plus the conservative-fallback and
+// push/undo + Neighborhood hash/undo), plus the conservative-fallback and
 // header-only paths.
 #include <cstdint>
 #include <string>
@@ -19,7 +19,7 @@
 #include "ir/walk.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
-#include "search/delta.h"
+#include "search/neighborhood.h"
 #include "support/common.h"
 #include "support/rng.h"
 #include "transform/history.h"
@@ -204,7 +204,7 @@ TEST_P(TrajectoryHashP, IncrementalHashHoldsAcrossApplyAndUndo) {
     const auto* m = profileMachines()[traj % profileMachines().size()];
     Rng rng(fnv1a(k->label, 1000003u * traj + 17));
     History h(original);
-    search::DeltaContext dctx;
+    search::Neighborhood nb;
     ASSERT_EQ(h.currentHash(), groundTruth(h.current()));
     for (int step = 0; step < kMaxSteps; ++step) {
       const auto actions = transform::allActions(h.current(), m->caps());
@@ -212,16 +212,16 @@ TEST_P(TrajectoryHashP, IncrementalHashHoldsAcrossApplyAndUndo) {
       const Action& a = actions[rng.uniform(actions.size())];
       // Delta view: the neighbor's hash, priced without a tree copy, then
       // undone — the context must land back exactly on the base hash.
-      dctx.bind(h.current());
-      const std::uint64_t base_hash = dctx.baseHash();
+      nb.bind(h.current(), m->caps());
+      const std::uint64_t base_hash = nb.baseHash();
       ASSERT_EQ(base_hash, h.currentHash());
-      const std::uint64_t neighbor = dctx.neighborHash(a);
-      ASSERT_EQ(dctx.baseHash(), base_hash);
+      const std::uint64_t neighbor = nb.neighborHash(a);
+      ASSERT_EQ(nb.baseHash(), base_hash);
       // A second neighbor from the same bind proves the first undo restored
-      // the scratch tree exactly (the context has no internal tripwire —
+      // the scratch tree exactly (the Neighborhood has no internal tripwire —
       // this is its correctness coverage).
       const Action& b = actions[rng.uniform(actions.size())];
-      ASSERT_EQ(dctx.neighborHash(b), groundTruth(b.apply(h.current())))
+      ASSERT_EQ(nb.neighborHash(b), groundTruth(b.apply(h.current())))
           << k->label << " traj " << traj << " step " << step << " on "
           << m->name() << ": stale scratch after undoing "
           << a.transform->name() << ", probing " << b.transform->name();

@@ -271,7 +271,7 @@ TEST(Exact, RejectsDegenerateConfig) {
 
 // --- Determinism ----------------------------------------------------------
 
-TEST(Frontier, CertificateBitIdenticalAcrossThreadsAndDelta) {
+TEST(Frontier, CertificateBitIdenticalAcrossThreadsAndToCheckedIn) {
   // Mirrors Search.DeltaAndThreadsPreserveTraceBitIdentity: threads 1 and 8
   // must produce the identical certificate JSON, state counts and telemetry
   // stream (modulo wall_ms), and where a checked-in certificate exists —

@@ -10,8 +10,9 @@
 //     refuse to train
 //   - in-search contract: predicted-vs-exact Spearman > 0 on real kernel
 //     neighbor sets, topk keeps the best exact neighbor in the recorded
-//     scenarios, and an inert prior (topk=all) leaves search traces
-//     bit-identical to no-prior runs across threads 1/8
+//     scenarios, an inert prior (topk=all) leaves search traces
+//     bit-identical to no-prior runs across threads 1/8, and a gating prior
+//     reproduces its golden SA trace across threads 1/8
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -354,6 +355,17 @@ TEST(Prior, TopkAllIsBitIdenticalToNoPrior) {
     const auto off = run(nullptr, threads);
     EXPECT_EQ(std::get<2>(off), std::get<2>(ref));
   }
+}
+
+TEST(Prior, GatedAnnealTraceMatchesGoldenAcrossThreads) {
+  // The live gated path pinned byte for byte: a checked-in model (trained by
+  // trainFromSearch on softmax/xeon) filters every state's neighbors to the
+  // top 6, and the trace — draws, prices, acceptances and the co-evolution
+  // stats on search_end — must reproduce the golden at threads 1 and 8.
+  const PriorModel prior = PriorModel::load(
+      std::string(PD_GOLDEN_DIR) + "/prior_softmax_xeon.txt");
+  ASSERT_TRUE(prior.valid());
+  golden::expectAnnealEdgesGolden("softmax", &prior);
 }
 
 TEST(Prior, ActiveTopkFiltersAndReportsCoEvolutionStats) {
