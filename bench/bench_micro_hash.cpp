@@ -5,7 +5,7 @@
 //   full  — the copy pipeline: q = action.apply(p); canonicalHash(q)
 //   delta — Neighborhood::neighborHash: in-place apply, splice probe over
 //           the arena's SoA line slab, watermark undo (what the
-//           edges-annealer, graph expansion and exact frontier do)
+//           edges-annealer and the exact frontier do)
 //
 // Timing discipline: one warm-up sweep, then the median of kReps interleaved
 // repetitions per path. A single wall-clock run flakes under CI noise (a

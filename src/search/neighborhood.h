@@ -7,8 +7,8 @@
 // a scratch copy in place, probing a read-only canonical form of the base,
 // and undoing the mutation by restoring only the reported-dirty subtrees. A
 // full validated tree copy (a.apply(base())) is made only when a candidate
-// must outlive the probe: a new best program, or a node enqueued by the
-// graph expansion; a memo miss is priced on the live scratch tree
+// must outlive the probe: a new best program, or a child admitted to the
+// exact tier's frontier; a memo miss is priced on the live scratch tree
 // (neighborVisit), and an accepted move is committed in place (accept).
 //
 // The canonical form is an ir::CanonicalArena: dense pre-order SoA
@@ -69,7 +69,6 @@ class Neighborhood {
   /// Amortized over every neighbor hashed from it.
   void bind(const ir::Program& base, const transform::MachineCaps& caps);
 
-  bool bound() const { return bound_; }
   const ir::Program& base() const { return base_; }
   std::uint64_t baseHash() const { return base_hash_; }
 

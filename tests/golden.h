@@ -23,10 +23,8 @@
 
 #include "kernels/kernels.h"
 #include "machines/machine.h"
-#include "search/graph.h"
 #include "search/prior.h"
 #include "search/search.h"
-#include "support/numeric.h"
 #include "support/telemetry.h"
 
 #if !defined(PD_GOLDEN_DIR) || !defined(PD_GOLDEN_OUT_DIR)
@@ -45,18 +43,6 @@ inline std::string stripWallClock(std::string jsonl) {
     jsonl.erase(at, end - at);
   }
   return jsonl;
-}
-
-/// One line per node (hash order) then one per edge (insertion order).
-inline std::string graphListing(const search::TransformationGraph& g) {
-  std::string out;
-  for (const auto& [h, n] : g.nodes())
-    out += "node " + std::to_string(h) + " depth=" + std::to_string(n.depth) +
-           " runtime=" + formatDouble(n.runtime) + "\n";
-  for (const auto& e : g.edges())
-    out += "edge " + std::to_string(e.from) + " " + std::to_string(e.to) +
-           " " + e.label + "\n";
-  return out;
 }
 
 /// Requires `got` to equal tests/data/search/<name> byte for byte. On a

@@ -25,11 +25,8 @@
 #include "ir/incremental.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
-#include "search/evalcache.h"
 #include "search/exact.h"
-#include "search/graph.h"
 #include "search/neighborhood.h"
-#include "search/parallel_eval.h"
 #include "search/search.h"
 #include "support/io.h"
 #include "support/rng.h"
@@ -250,24 +247,6 @@ TEST(ActionSet, RandomSamplingTraceMatchesGoldenAcrossThreads) {
                          "threads" + std::to_string(threads),
                          golden::stripWallClock(sink.buffered()));
   }
-}
-
-TEST(ActionSet, GraphExpansionMatchesGoldenSerialAndPooled) {
-  // The BFS graph derives each child's Neighborhood from its parent's by
-  // accepting the producing action; the graph must be node- and edge-identical
-  // to the golden re-enumerating, copy-hashing expansion, serially and with
-  // eight workers materializing and pricing.
-  const ir::Program p = kernels::findKernel("softmax")->build();
-  const TransformationGraph serial(p, machines::xeon(), /*max_depth=*/2,
-                                   /*max_nodes=*/200);
-  golden::expectGolden("graph_softmax_xeon_d2.txt", "threads1",
-                       golden::graphListing(serial));
-  ParallelEvaluator pool(8);
-  EvalCache cache;
-  const TransformationGraph parallel(p, machines::xeon(), 2, 200, &cache,
-                                     &pool);
-  golden::expectGolden("graph_softmax_xeon_d2.txt", "threads8",
-                       golden::graphListing(parallel));
 }
 
 TEST(ActionSet, ExactCertificateMatchesCheckedInAcrossThreads) {

@@ -238,6 +238,8 @@ TEST(Exact, BudgetTripDegradesToBestEffortBound) {
   EXPECT_EQ(r.reason, TerminationReason::BudgetExhausted);
   EXPECT_FALSE(r.cert.complete);
   EXPECT_LE(r.cert.states, 10);
+  // Children past the budget are never priced.
+  EXPECT_EQ(r.machine_evals, r.cert.states);
   // Still a sound upper bound: the reported best is a real schedule.
   EXPECT_EQ(machines::xeon().evaluate(r.best), r.best_cost);
   EXPECT_LE(r.best_cost, r.cert.base_cost);
@@ -318,6 +320,8 @@ TEST(Frontier, CertificateBitIdenticalAcrossThreadsAndToCheckedIn) {
     EXPECT_EQ(r.cert.states, ref.cert.states);
     EXPECT_EQ(r.best_cost, ref.best_cost);
     EXPECT_EQ(r.machine_evals, ref.machine_evals);
+    // Dedup runs before pricing: one machine evaluation per unique state.
+    EXPECT_EQ(r.machine_evals, r.cert.states);
     EXPECT_TRUE(ir::canonicallyEqual(r.best, ref.best));
     EXPECT_EQ(golden::stripWallClock(sink.buffered()), ref_trace);
   }

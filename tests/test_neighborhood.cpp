@@ -2,7 +2,7 @@
 // state lives in (src/search/neighborhood.h).
 //
 // The exact tier copies one kernel-bound Neighborhood per frontier entry and
-// the transformation graph copies a parent's per child, so a copy must be a
+// accepts the entry's replay path into the copy, so a copy must be a
 // deep, independent state: it may not alias its source's program, and it
 // must outlive the source. accept() must leave a Neighborhood that a fresh
 // bind of the accepted program cannot be told apart from — hash, program
@@ -85,9 +85,9 @@ TEST(Neighborhood, CopyOutlivesRebindAndDestructionOfItsSource) {
 }
 
 TEST(Neighborhood, AcceptOfAnAliasedActionEqualsAFreshBind) {
-  // A walk through copies, the graph's derivation pattern: each step copies
-  // the current state and accepts one of the copy's own actions by
-  // reference — the argument lives in the list accept() splices.
+  // A walk through copies: each step copies the current state and accepts
+  // one of the copy's own actions by reference — the argument lives in the
+  // list accept() splices.
   Neighborhood cur;
   cur.bind(scheduledSoftmax(), caps());
   for (int step = 0; step < 6; ++step) {
