@@ -80,10 +80,8 @@ bool IndexExpr::usesIter(NodeId scope) const {
 IndexExpr IndexExpr::substitute(NodeId from, const IndexExpr& repl) const {
   if (kind_ == Kind::Iter) return iter_ == from ? repl : *this;
   if (kind_ == Kind::Const) return *this;
-  IndexExpr e = *this;
-  e.kids_[0] = kids_[0].substitute(from, repl);
-  e.kids_[1] = kids_[1].substitute(from, repl);
-  return e;
+  return binary(kind_, kids_[0].substitute(from, repl),
+                kids_[1].substitute(from, repl));
 }
 
 IndexExpr IndexExpr::simplified() const {
@@ -114,10 +112,7 @@ IndexExpr IndexExpr::simplified() const {
       return constant(0);
   }
   if (kind_ == Kind::Div && b.isConst() && b.value_ == 1) return a;
-  IndexExpr e = *this;
-  e.kids_[0] = std::move(a);
-  e.kids_[1] = std::move(b);
-  return e;
+  return binary(kind_, std::move(a), std::move(b));
 }
 
 bool IndexExpr::asAffine(std::vector<AffineTerm>& terms, std::int64_t& offset) const {

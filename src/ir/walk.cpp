@@ -37,12 +37,13 @@ int childIndex(const Node& parent, NodeId id) {
 }
 
 namespace {
-bool chainTo(const Node& n, NodeId id, std::vector<NodeId>& chain) {
+template <typename T, typename Get>
+bool chainTo(const Node& n, NodeId id, std::vector<T>& chain, Get get) {
   if (n.id == id) return true;
   if (!n.isScope()) return false;
-  chain.push_back(n.id);
+  chain.push_back(get(n));
   for (const auto& c : n.children)
-    if (chainTo(c, id, chain)) return true;
+    if (chainTo(c, id, chain, get)) return true;
   chain.pop_back();
   return false;
 }
@@ -50,8 +51,17 @@ bool chainTo(const Node& n, NodeId id, std::vector<NodeId>& chain) {
 
 std::vector<NodeId> enclosingScopes(const Node& root, NodeId id) {
   std::vector<NodeId> chain;
-  require(chainTo(root, id, chain), "enclosingScopes: node not found");
+  require(chainTo(root, id, chain, [](const Node& n) { return n.id; }),
+          "enclosingScopes: node not found");
   // Drop the root container itself.
+  if (!chain.empty()) chain.erase(chain.begin());
+  return chain;
+}
+
+std::vector<const Node*> enclosingScopeNodes(const Node& root, NodeId id) {
+  std::vector<const Node*> chain;
+  require(chainTo(root, id, chain, [](const Node& n) { return &n; }),
+          "enclosingScopes: node not found");
   if (!chain.empty()) chain.erase(chain.begin());
   return chain;
 }
@@ -124,24 +134,21 @@ void visitMut(Node& root, const std::function<void(Node&)>& fn) {
   for (auto& c : root.children) visitMut(c, fn);
 }
 
-void rewriteIndexExprs(Node& root,
-                       const std::function<IndexExpr(const IndexExpr&)>& fn) {
-  visitMut(root, [&](Node& n) {
-    if (!n.isOp()) return;
-    for (auto& e : n.out.idx) e = fn(e);
-    for (auto& in : n.ins) {
-      if (in.kind == Operand::Kind::Array)
-        for (auto& e : in.access.idx) e = fn(e);
-      else if (in.kind == Operand::Kind::Iter)
-        in.iter_expr = fn(in.iter_expr);
-    }
-  });
-}
-
 void substituteIter(Node& root, NodeId from, const IndexExpr& repl) {
-  rewriteIndexExprs(root, [&](const IndexExpr& e) {
-    return e.substitute(from, repl).simplified();
-  });
+  // Every expression is re-simplified, including those that do not use
+  // `from`: parsed IR may hold unsimplified forms such as `{0}+0`, and the
+  // canonical text of a rewritten subtree depends on that normalization.
+  auto rewrite = [&](IndexExpr& e) { e = e.substitute(from, repl).simplified(); };
+  if (root.isOp()) {
+    for (auto& e : root.out.idx) rewrite(e);
+    for (auto& in : root.ins) {
+      if (in.kind == Operand::Kind::Array)
+        for (auto& e : in.access.idx) rewrite(e);
+      else if (in.kind == Operand::Kind::Iter)
+        rewrite(in.iter_expr);
+    }
+  }
+  for (auto& c : root.children) substituteIter(c, from, repl);
 }
 
 bool subtreeUsesIter(const Node& root, NodeId scope) {

@@ -1,6 +1,8 @@
 // Tree-walking utilities: lookup by id, parent maps, ancestor chains,
-// op enumeration. All lookups are O(tree) — program trees are small
-// (tens to hundreds of nodes), and simplicity keeps transformations honest.
+// op enumeration. A lookup by id is an O(tree) walk — program trees are
+// small (tens to hundreds of nodes). Transform enumerators walk the tree
+// once and test each candidate on the node they already hold; only
+// single-site checks (isApplicable, findApplicableAt) look a node up.
 #pragma once
 
 #include <functional>
@@ -27,6 +29,10 @@ int childIndex(const Node& parent, NodeId id);
 /// child of the root.
 std::vector<NodeId> enclosingScopes(const Node& root, NodeId id);
 
+/// The same chain as nodes, found in one walk. The pointers are valid while
+/// the tree is not restructured.
+std::vector<const Node*> enclosingScopeNodes(const Node& root, NodeId id);
+
 /// Depth of scope `scope` in the ancestor chain of node `of` (0 = outermost,
 /// per the paper's `{depth}` notation). Returns -1 if not an ancestor.
 int scopeDepthFor(const Node& root, NodeId of, NodeId scope);
@@ -49,11 +55,9 @@ std::vector<const Node*> collectScopesWithin(const Node& root, NodeId id);
 void visit(const Node& root, const std::function<void(const Node&)>& fn);
 void visitMut(Node& root, const std::function<void(Node&)>& fn);
 
-/// Applies fn to every IndexExpr in the subtree (op outputs, array operands,
-/// iterator operands), replacing each with the returned expression.
-void rewriteIndexExprs(Node& root, const std::function<IndexExpr(const IndexExpr&)>& fn);
-
-/// Substitutes iterator `from` with `repl` throughout the subtree.
+/// Substitutes iterator `from` with `repl` throughout the subtree (op
+/// outputs, array operands, iterator operands) and re-simplifies every
+/// expression there, whether or not it used `from`.
 void substituteIter(Node& root, NodeId from, const IndexExpr& repl);
 
 /// True if any access or iterator operand in the subtree uses scope's iter.

@@ -115,9 +115,9 @@ const ir::Program& Neighborhood::accept(const transform::Action& a) {
       ir::Node* dst = id < base_index_.size()
                           ? const_cast<ir::Node*>(base_index_[id])
                           : nullptr;
-      require(dst != nullptr && src != nullptr,
-              "Neighborhood: dirty subtree " + std::to_string(id) +
-                  " missing during accept (bad mutation report)");
+      if (dst == nullptr || src == nullptr)
+        fail("Neighborhood: dirty subtree " + std::to_string(id) +
+             " missing during accept (bad mutation report)");
       *dst = *src;
     }
   } else {
@@ -165,9 +165,9 @@ void Neighborhood::undo(const ir::MutationSummary& mut) {
     }
     const ir::Node* src = id < base_index_.size() ? base_index_[id] : nullptr;
     ir::Node* dst = locateScratch(id);
-    require(dst != nullptr && src != nullptr,
-            "Neighborhood: dirty subtree " + std::to_string(id) +
-                " missing during undo (bad mutation report)");
+    if (dst == nullptr || src == nullptr)
+      fail("Neighborhood: dirty subtree " + std::to_string(id) +
+           " missing during undo (bad mutation report)");
     *dst = *src;
   }
 }

@@ -173,7 +173,7 @@ bool containsChainedAccum(const ir::Program& p, ir::NodeId s) {
   if (!scope) return false;
   for (const ir::Node* op : ir::collectOps(*scope)) {
     const auto info = transform::opInfo(*op);
-    if (!info.is_accumulation || !info.write.usesIter(s)) continue;
+    if (!info.is_accumulation || !info.write->usesIter(s)) continue;
     const auto chain = ir::enclosingScopes(p.root, op->id);
     bool below = false;
     for (ir::NodeId a : chain) {
@@ -181,7 +181,7 @@ bool containsChainedAccum(const ir::Program& p, ir::NodeId s) {
         below = true;
         continue;
       }
-      if (below && !info.write.usesIter(a)) return true;
+      if (below && !info.write->usesIter(a)) return true;
     }
   }
   return false;

@@ -23,6 +23,12 @@ inline void require(bool cond, const std::string& msg) {
   if (!cond) fail(msg);
 }
 
+/// Same, for a literal message: no std::string is built unless the check
+/// fails, which keeps hot-path checks allocation-free.
+inline void require(bool cond, const char* msg) {
+  if (!cond) fail(msg);
+}
+
 /// 64-bit FNV-1a, used for canonical-program hashing and the feature hasher.
 inline std::uint64_t fnv1a(const void* data, std::size_t n,
                            std::uint64_t seed = 1469598103934665603ull) {

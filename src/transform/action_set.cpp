@@ -1,7 +1,6 @@
 #include "transform/action_set.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "ir/incremental.h"
 #include "ir/walk.h"
@@ -9,10 +8,8 @@
 
 namespace perfdojo::transform {
 
-namespace {
-
-/// How one transform's applicable sites react to a reported mutation. The
-/// soundness argument per field:
+/// How one transform's applicable sites react to a reported mutation
+/// (ActionSet::Policy). The soundness argument per field:
 ///
 ///   * splice root: sites whose predicate only reads lines inside the dirty
 ///     subtree are re-enumerated by one scoped findApplicable over it. A
@@ -40,20 +37,10 @@ namespace {
 ///   * always_full: the predicate is program-wide (reuse_dims scans every
 ///     access AND the driving scope's annotation), or the transform is
 ///     unknown (fuzzer-injected): re-enumerate fully on every update.
-struct Policy {
-  bool always_full = false;
-  bool header_only = false;
-  bool buffers_full = false;
-  bool widen_to_parent = false;
-  bool recheck_ancestors = false;
-  bool recheck_prev_siblings = false;
-  /// reorder_ops sites are owned by the parent whose child list they
-  /// permute (loc.node is the left child); splice membership, recheck and
-  /// merge keys all use that owner.
-  bool owner_is_parent = false;
-};
-
-Policy policyFor(const std::string& name) {
+///   * owner_is_parent: reorder_ops sites are owned by the parent whose
+///     child list they permute (loc.node is the left child); splice
+///     membership, recheck and merge keys all use that owner.
+ActionSet::Policy ActionSet::policyFor(const std::string& name) {
   Policy q;
   // Reads only the site's own line (anno/extent): dirt stays in-subtree.
   if (name == "split_scope" || name == "unroll") return q;
@@ -114,8 +101,6 @@ Policy policyFor(const std::string& name) {
   return q;
 }
 
-}  // namespace
-
 void ActionSet::flatten(const ir::Program& p, Flat& f) {
   ir::NodeId max_id = p.root.id;
   ir::visit(p.root, [&](const ir::Node& n) { max_id = std::max(max_id, n.id); });
@@ -150,6 +135,9 @@ void ActionSet::bind(const ir::Program& p, const MachineCaps& caps) {
 void ActionSet::bind(const ir::Program& p, const MachineCaps& caps,
                      const std::vector<const Transform*>& transforms) {
   transforms_ = transforms;
+  policies_.clear();
+  policies_.reserve(transforms_.size());
+  for (const Transform* t : transforms_) policies_.push_back(policyFor(t->name()));
   caps_ = caps;
   ++stats_.binds;
   rebuildAll(p);
@@ -210,7 +198,7 @@ void ActionSet::updateTransform(std::size_t ti, const ir::Program& p,
                                 const ir::MutationSummary& mut,
                                 const Flat& next) {
   const Transform* t = transforms_[ti];
-  const Policy pol = policyFor(t->name());
+  const Policy& pol = policies_[ti];
   if (pol.always_full ||
       (mut.buffers_changed && (pol.buffers_full || pol.header_only))) {
     ++stats_.transform_full_enums;
@@ -246,15 +234,23 @@ void ActionSet::updateTransform(std::size_t ti, const ir::Program& p,
   // ancestors, root container excluded) filtered per policy. Ancestor
   // chains and sibling lists outside the dirty subtrees are unchanged by
   // the contract, so the post-mutation flatten describes both sides.
-  std::unordered_set<ir::NodeId> recheck;
+  // A spine is a few nodes long, so a vector with linear lookup beats a
+  // hash set here.
+  std::vector<ir::NodeId> recheck;
+  auto rechecked = [&](ir::NodeId x) {
+    return std::find(recheck.begin(), recheck.end(), x) != recheck.end();
+  };
+  auto addRecheck = [&](ir::NodeId x) {
+    if (!rechecked(x)) recheck.push_back(x);
+  };
   if (pol.recheck_ancestors || pol.recheck_prev_siblings) {
     for (ir::NodeId r : kept) {
       for (ir::NodeId x = r; x != ir::kInvalidNode && x != next.root_id;
            x = next.parent[x]) {
-        if (x != r && pol.recheck_ancestors) recheck.insert(x);
+        if (x != r && pol.recheck_ancestors) addRecheck(x);
         if (pol.recheck_prev_siblings) {
           const ir::NodeId ps = next.prev_sib[x];
-          if (ps != ir::kInvalidNode) recheck.insert(ps);
+          if (ps != ir::kInvalidNode) addRecheck(ps);
         }
       }
     }
@@ -272,7 +268,7 @@ void ActionSet::updateTransform(std::size_t ti, const ir::Program& p,
   for (auto& loc : locs_[ti]) {
     const ir::NodeId owner =
         pol.owner_is_parent ? flat_.parent[loc.node] : loc.node;
-    if (inKeptOld(flat_.pos[owner]) || recheck.count(owner) != 0) continue;
+    if (inKeptOld(flat_.pos[owner]) || rechecked(owner)) continue;
     retained.push_back(std::move(loc));
   }
 
@@ -303,6 +299,7 @@ void ActionSet::updateTransform(std::size_t ti, const ir::Program& p,
     Location loc;
   };
   std::vector<Keyed> fresh;
+  fresh.reserve(locs_[ti].size() - retained.size());
   for (ir::NodeId r : kept) {
     ++stats_.transform_splices;
     for (auto& loc : t->findApplicable(p, caps_, r))
@@ -313,6 +310,10 @@ void ActionSet::updateTransform(std::size_t ti, const ir::Program& p,
     ++stats_.nodes_rechecked;
     for (auto& loc : t->findApplicableAt(p, caps_, x))
       fresh.push_back({keyOf(loc), std::move(loc)});
+  }
+  if (fresh.empty()) {
+    locs_[ti] = std::move(retained);
+    return;
   }
   std::stable_sort(fresh.begin(), fresh.end(),
                    [](const Keyed& a, const Keyed& b) { return a.key < b.key; });

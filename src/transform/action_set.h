@@ -95,6 +95,19 @@ class ActionSet {
   const ActionSetStats& stats() const { return stats_; }
 
  private:
+  /// How one transform's sites react to a mutation; resolved by name once
+  /// per bind(). The soundness argument per field is in action_set.cpp.
+  struct Policy {
+    bool always_full = false;
+    bool header_only = false;
+    bool buffers_full = false;
+    bool widen_to_parent = false;
+    bool recheck_ancestors = false;
+    bool recheck_prev_siblings = false;
+    bool owner_is_parent = false;
+  };
+  static Policy policyFor(const std::string& name);
+
   /// Dense-by-NodeId flatten of the indexed program: enough structure to
   /// splice location lists by pre-order position without rendering anything.
   struct Flat {
@@ -118,6 +131,7 @@ class ActionSet {
   static void flatten(const ir::Program& p, Flat& f);
 
   std::vector<const Transform*> transforms_;
+  std::vector<Policy> policies_;             // parallel to transforms_
   MachineCaps caps_;
   std::vector<std::vector<Location>> locs_;  // parallel to transforms_
   std::vector<Action> actions_;              // concatenation cache

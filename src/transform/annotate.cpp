@@ -21,40 +21,12 @@ using ir::Program;
 
 namespace {
 
-/// Enumerates scope locations passing `ok` within the subtree at `r`
-/// (p.root.id = the full program; exact order-preserving subsequence).
-template <typename Ok>
-std::vector<Location> scopeLocationsWithin(const Program& p, NodeId r, Ok&& ok) {
-  std::vector<Location> out;
-  for (const Node* s : ir::collectScopesWithin(p.root, r)) {
-    Location loc;
-    loc.node = s->id;
-    if (ok(loc)) out.push_back(loc);
-  }
-  return out;
-}
-
-/// The single-node variant: the location at exactly `node`, if it passes.
-template <typename Ok>
-std::vector<Location> scopeLocationAt(const Program& p, NodeId node, Ok&& ok) {
-  std::vector<Location> out;
-  const Node* s = ir::findNode(p.root, node);
-  if (s != nullptr && s->id != p.root.id && s->isScope()) {
-    Location loc;
-    loc.node = node;
-    if (ok(loc)) out.push_back(loc);
-  }
-  return out;
-}
-
 /// True if `id` lies beneath a scope carrying any of the given annotations.
 bool nestedUnderAnno(const Program& p, NodeId id,
                      std::initializer_list<LoopAnno> annos) {
-  for (NodeId a : ir::enclosingScopes(p.root, id)) {
-    const Node* s = ir::findNode(p.root, a);
-    if (s && std::find(annos.begin(), annos.end(), s->anno) != annos.end())
+  for (const Node* s : ir::enclosingScopeNodes(p.root, id))
+    if (std::find(annos.begin(), annos.end(), s->anno) != annos.end())
       return true;
-  }
   return false;
 }
 
@@ -72,7 +44,13 @@ class SetAnnoBase : public CheckedTransform {
  public:
   // All annotation transforms enumerate the same way — every scope passing a
   // caps gate plus a per-scope predicate — so the full/scoped/single-node
-  // triple lives here once and subclasses only override capsGate/okWithCaps.
+  // triple lives here once and subclasses only override ok/capsGate/
+  // okWithCaps.
+  bool isApplicable(const Program& p, const Location& loc) const final {
+    const Node* s = scopeSite(p, loc.node);
+    return s != nullptr && ok(p, *s);
+  }
+
   std::vector<Location> findApplicable(const Program& p,
                                        const MachineCaps& caps) const override {
     return findApplicable(p, caps, p.root.id);
@@ -81,16 +59,16 @@ class SetAnnoBase : public CheckedTransform {
   std::vector<Location> findApplicable(const Program& p, const MachineCaps& caps,
                                        ir::NodeId subtree_root) const override {
     if (!capsGate(caps)) return {};
-    return scopeLocationsWithin(p, subtree_root, [&](const Location& loc) {
-      return okWithCaps(p, caps, loc);
+    return scopeLocationsWithin(p, subtree_root, [&](const Node& s) {
+      return okWithCaps(p, caps, s);
     });
   }
 
   std::vector<Location> findApplicableAt(const Program& p, const MachineCaps& caps,
                                          ir::NodeId node) const override {
     if (!capsGate(caps)) return {};
-    return scopeLocationAt(p, node, [&](const Location& loc) {
-      return okWithCaps(p, caps, loc);
+    return scopeLocationAt(p, node, [&](const Node& s) {
+      return okWithCaps(p, caps, s);
     });
   }
 
@@ -101,14 +79,16 @@ class SetAnnoBase : public CheckedTransform {
     ir::findNode(q.root, loc.node)->anno = target();
   }
   virtual LoopAnno target() const = 0;
+  /// The semantic check on a non-root scope `s` of `p`.
+  virtual bool ok(const Program& p, const Node& s) const = 0;
   /// Machine-level gate: false means this transform offers nothing at all on
   /// these caps (no per-scope work done).
   virtual bool capsGate(const MachineCaps&) const { return true; }
   /// Per-scope predicate including caps-dependent parameter limits; defaults
   /// to the semantic check alone.
   virtual bool okWithCaps(const Program& p, const MachineCaps&,
-                          const Location& loc) const {
-    return isApplicable(p, loc);
+                          const Node& s) const {
+    return ok(p, s);
   }
 };
 
@@ -118,18 +98,14 @@ class Unroll final : public SetAnnoBase {
  public:
   std::string name() const override { return "unroll"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    return s->extent <= 64;  // hard sanity bound; caps tighten in enumeration
-  }
-
  protected:
+  bool ok(const Program&, const Node& s) const override {
+    if (s.anno != LoopAnno::None) return false;
+    return s.extent <= 64;  // hard sanity bound; caps tighten in enumeration
+  }
   bool okWithCaps(const Program& p, const MachineCaps& caps,
-                  const Location& loc) const override {
-    if (!isApplicable(p, loc)) return false;
-    return ir::findNode(p.root, loc.node)->extent <= caps.max_unroll;
+                  const Node& s) const override {
+    return ok(p, s) && s.extent <= caps.max_unroll;
   }
   LoopAnno target() const override { return LoopAnno::Unroll; }
 };
@@ -176,24 +152,20 @@ class Vectorize final : public SetAnnoBase {
  public:
   std::string name() const override { return "vectorize"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
+ protected:
+  bool ok(const Program&, const Node& s) const override {
+    if (s.anno != LoopAnno::None) return false;
     static const std::int64_t common_widths[] = {2, 4, 8, 16, 32, 64};
     if (std::find(std::begin(common_widths), std::end(common_widths),
-                  s->extent) == std::end(common_widths))
+                  s.extent) == std::end(common_widths))
       return false;
-    return vectorizableBody(*s);
+    return vectorizableBody(s);
   }
-
- protected:
   bool okWithCaps(const Program& p, const MachineCaps& caps,
-                  const Location& loc) const override {
-    if (!isApplicable(p, loc)) return false;
-    const Node* s = ir::findNode(p.root, loc.node);
+                  const Node& s) const override {
+    if (!ok(p, s)) return false;
     return std::find(caps.vector_widths.begin(), caps.vector_widths.end(),
-                     s->extent) != caps.vector_widths.end();
+                     s.extent) != caps.vector_widths.end();
   }
   LoopAnno target() const override { return LoopAnno::Vector; }
 };
@@ -204,17 +176,14 @@ class Parallelize final : public SetAnnoBase {
  public:
   std::string name() const override { return "parallelize"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    // One level of CPU parallelism: not nested under or above another :p.
-    if (nestedUnderAnno(p, s->id, {LoopAnno::Parallel})) return false;
-    if (containsAnno(*s, {LoopAnno::Parallel})) return false;
-    return iterationsIndependent(p, *s);
-  }
-
  protected:
+  bool ok(const Program& p, const Node& s) const override {
+    if (s.anno != LoopAnno::None) return false;
+    // One level of CPU parallelism: not nested under or above another :p.
+    if (nestedUnderAnno(p, s.id, {LoopAnno::Parallel})) return false;
+    if (containsAnno(s, {LoopAnno::Parallel})) return false;
+    return iterationsIndependent(p, s);
+  }
   bool capsGate(const MachineCaps& caps) const override {
     return caps.has_parallel && !caps.is_gpu;
   }
@@ -227,18 +196,15 @@ class GpuMapGrid final : public SetAnnoBase {
  public:
   std::string name() const override { return "gpu_map_grid"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
+ protected:
+  bool ok(const Program& p, const Node& s) const override {
+    if (s.anno != LoopAnno::None) return false;
     // Multi-dimensional grids nest :g under :g; thread-level scopes may not
     // spawn grids.
-    if (nestedUnderAnno(p, s->id, {LoopAnno::GpuBlock, LoopAnno::GpuWarp}))
+    if (nestedUnderAnno(p, s.id, {LoopAnno::GpuBlock, LoopAnno::GpuWarp}))
       return false;
-    return iterationsIndependent(p, *s);
+    return iterationsIndependent(p, s);
   }
-
- protected:
   bool capsGate(const MachineCaps& caps) const override { return caps.is_gpu; }
   LoopAnno target() const override { return LoopAnno::GpuGrid; }
 };
@@ -247,23 +213,19 @@ class GpuMapBlock final : public SetAnnoBase {
  public:
   std::string name() const override { return "gpu_map_block"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    // Block scopes nest inside the grid mapping.
-    if (!nestedUnderAnno(p, s->id, {LoopAnno::GpuGrid})) return false;
-    if (nestedUnderAnno(p, s->id, {LoopAnno::GpuWarp})) return false;
-    if (s->extent > 1024) return false;
-    return iterationsIndependent(p, *s);
-  }
-
  protected:
+  bool ok(const Program& p, const Node& s) const override {
+    if (s.anno != LoopAnno::None) return false;
+    // Block scopes nest inside the grid mapping.
+    if (!nestedUnderAnno(p, s.id, {LoopAnno::GpuGrid})) return false;
+    if (nestedUnderAnno(p, s.id, {LoopAnno::GpuWarp})) return false;
+    if (s.extent > 1024) return false;
+    return iterationsIndependent(p, s);
+  }
   bool capsGate(const MachineCaps& caps) const override { return caps.is_gpu; }
   bool okWithCaps(const Program& p, const MachineCaps& caps,
-                  const Location& loc) const override {
-    if (!isApplicable(p, loc)) return false;
-    return ir::findNode(p.root, loc.node)->extent <= caps.max_block_threads;
+                  const Node& s) const override {
+    return ok(p, s) && s.extent <= caps.max_block_threads;
   }
   LoopAnno target() const override { return LoopAnno::GpuBlock; }
 };
@@ -272,21 +234,17 @@ class GpuMapWarp final : public SetAnnoBase {
  public:
   std::string name() const override { return "gpu_map_warp"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    if (!nestedUnderAnno(p, s->id, {LoopAnno::GpuBlock})) return false;
-    if (s->extent > 64) return false;  // at most one wavefront of lanes
-    return iterationsIndependent(p, *s);
-  }
-
  protected:
+  bool ok(const Program& p, const Node& s) const override {
+    if (s.anno != LoopAnno::None) return false;
+    if (!nestedUnderAnno(p, s.id, {LoopAnno::GpuBlock})) return false;
+    if (s.extent > 64) return false;  // at most one wavefront of lanes
+    return iterationsIndependent(p, s);
+  }
   bool capsGate(const MachineCaps& caps) const override { return caps.is_gpu; }
   bool okWithCaps(const Program& p, const MachineCaps& caps,
-                  const Location& loc) const override {
-    if (!isApplicable(p, loc)) return false;
-    return ir::findNode(p.root, loc.node)->extent <= caps.warp_size;
+                  const Node& s) const override {
+    return ok(p, s) && s.extent <= caps.warp_size;
   }
   LoopAnno target() const override { return LoopAnno::GpuWarp; }
 };
@@ -315,11 +273,10 @@ class SsrStream final : public SetAnnoBase {
  public:
   std::string name() const override { return "ssr_stream"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    const Node* body = streamableOp(*s);
+ protected:
+  bool ok(const Program&, const Node& s) const override {
+    if (s.anno != LoopAnno::None) return false;
+    const Node* body = streamableOp(s);
     if (!body) return false;
     const Node& op = *body;
     int streams = 0;
@@ -334,7 +291,7 @@ class SsrStream final : public SetAnnoBase {
     // An accumulator held constant across the streamed loop lives in an FP
     // register, not an SSR stream: only operands whose address varies with
     // the streamed iteration occupy one of Snitch's three data movers.
-    auto isStream = [&](const ir::Access& a) { return a.usesIter(s->id); };
+    auto isStream = [&](const ir::Access& a) { return a.usesIter(s.id); };
     if (!affineAccess(op.out)) return false;
     if (isStream(op.out)) ++streams;
     for (const auto& in : op.ins) {
@@ -347,8 +304,6 @@ class SsrStream final : public SetAnnoBase {
     }
     return streams <= 3;
   }
-
- protected:
   bool capsGate(const MachineCaps& caps) const override { return caps.has_ssr; }
   LoopAnno target() const override { return LoopAnno::Ssr; }
 };
@@ -361,15 +316,12 @@ class Frep final : public SetAnnoBase {
  public:
   std::string name() const override { return "frep"; }
 
-  bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope()) return false;
-    if (s->anno != LoopAnno::Ssr) return false;
-    const Node* op = streamableOp(*s);
+ protected:
+  bool ok(const Program&, const Node& s) const override {
+    if (s.anno != LoopAnno::Ssr) return false;
+    const Node* op = streamableOp(s);
     return op != nullptr && ir::opIsFloatingPoint(op->op);
   }
-
- protected:
   bool capsGate(const MachineCaps& caps) const override { return caps.has_frep; }
   LoopAnno target() const override { return LoopAnno::Frep; }
 };

@@ -12,8 +12,11 @@
 // every report is adequate.
 #pragma once
 
+#include <vector>
+
 #include "ir/incremental.h"
 #include "ir/program.h"
+#include "ir/walk.h"
 #include "support/common.h"
 #include "transform/transform.h"
 
@@ -98,19 +101,58 @@ class CheckedTransform : public Transform {
   void applyInPlace(ir::Program& q, const Location& loc,
                     ir::MutationSummary* mut,
                     bool validate = true) const final {
-    require(isApplicable(q, loc),
-            name() + ": location not applicable to this program");
+    if (!isApplicable(q, loc))
+      fail(name() + ": location not applicable to this program");
     detail::ReportScope scope(mut);
     applyChecked(q, loc);
     if (validate) q.validate();
   }
 
   /// Semantic + structural legality of applying at `loc` (capability gating,
-  /// e.g. vector widths, happens only in findApplicable enumeration).
+  /// e.g. vector widths, happens only in findApplicable enumeration). It
+  /// looks the site up once; enumeration tests the nodes it walks directly.
   virtual bool isApplicable(const ir::Program& p, const Location& loc) const = 0;
 
  protected:
   virtual void applyChecked(ir::Program& q, const Location& loc) const = 0;
 };
+
+/// The scope a scope-owned site at `node` names, or nullptr when `node` is
+/// absent, an op, or the root container.
+inline const ir::Node* scopeSite(const ir::Program& p, ir::NodeId node) {
+  const ir::Node* s = ir::findNode(p.root, node);
+  return s != nullptr && s->id != p.root.id && s->isScope() ? s : nullptr;
+}
+
+/// Enumeration of transforms with one parameterless location per passing
+/// scope: `ok(const ir::Node&)` is tested on each scope within the subtree
+/// at `r`, in collectScopesWithin order, so the result is the exact
+/// subsequence of the full enumeration (r = p.root.id) that r owns.
+template <typename Ok>
+std::vector<Location> scopeLocationsWithin(const ir::Program& p, ir::NodeId r,
+                                           Ok&& ok) {
+  std::vector<Location> out;
+  for (const ir::Node* s : ir::collectScopesWithin(p.root, r)) {
+    if (!ok(*s)) continue;
+    Location loc;
+    loc.node = s->id;
+    out.push_back(loc);
+  }
+  return out;
+}
+
+/// The single-node variant: the location at exactly `node`, if it passes.
+template <typename Ok>
+std::vector<Location> scopeLocationAt(const ir::Program& p, ir::NodeId node,
+                                      Ok&& ok) {
+  std::vector<Location> out;
+  const ir::Node* s = scopeSite(p, node);
+  if (s != nullptr && ok(*s)) {
+    Location loc;
+    loc.node = node;
+    out.push_back(loc);
+  }
+  return out;
+}
 
 }  // namespace perfdojo::transform

@@ -1,6 +1,5 @@
 #include "transform/deps.h"
 
-#include "ir/walk.h"
 #include "support/common.h"
 
 namespace perfdojo::transform {
@@ -16,12 +15,16 @@ OpInfo opInfo(const Node& op) {
   require(op.isOp(), "opInfo: not an op node");
   OpInfo info;
   info.op = &op;
-  info.write = op.out;
-  for (const auto& in : op.ins)
-    if (in.kind == ir::Operand::Kind::Array) info.reads.push_back(in.access);
+  info.write = &op.out;
+  for (const auto& in : op.ins) {
+    if (in.kind != ir::Operand::Kind::Array) continue;
+    require(info.num_reads < info.read_slots.size(),
+            "opInfo: more than 3 array operands");
+    info.read_slots[info.num_reads++] = &in.access;
+  }
   if (ir::opIsAssociativeCommutative(op.op)) {
-    for (const auto& r : info.reads)
-      if (r == op.out) info.is_accumulation = true;
+    for (const Access* r : info.reads())
+      if (*r == op.out) info.is_accumulation = true;
   } else if (op.op == ir::OpCode::Fma) {
     // out = a*b + out is a sum-of-products reduction (associative +
     // commutative over the additive accumulator).
@@ -32,13 +35,15 @@ OpInfo opInfo(const Node& op) {
   return info;
 }
 
-std::vector<OpInfo> collectOpInfos(const Node& root) {
-  std::vector<OpInfo> out;
-  for (const Node* op : ir::collectOps(root)) out.push_back(opInfo(*op));
-  return out;
-}
-
 namespace {
+
+void appendOpInfos(const Node& n, std::vector<OpInfo>& out) {
+  if (n.isOp()) {
+    out.push_back(opInfo(n));
+    return;
+  }
+  for (const auto& c : n.children) appendOpInfos(c, out);
+}
 
 /// True when expr is affine with a non-zero coefficient on `iter` — the
 /// injectivity witness used to prove distinct iterations touch distinct
@@ -53,6 +58,12 @@ bool affineNonzeroIn(const IndexExpr& e, NodeId iter) {
 }
 
 }  // namespace
+
+std::vector<OpInfo> collectOpInfos(const Node& root) {
+  std::vector<OpInfo> out;
+  appendOpInfos(root, out);
+  return out;
+}
 
 bool mayAlias(const Program& p, const Access& a, const Access& b) {
   const Buffer* ba = p.bufferOfArray(a.array);
@@ -74,7 +85,7 @@ bool sameElementUnderIterMap(const Program& p, const Access& a, NodeId iter_a,
                              const Access& b, NodeId iter_b) {
   if (a.array != b.array) return false;
   const Buffer* ba = p.bufferOfArray(a.array);
-  require(ba != nullptr, "deps: unknown array '" + a.array + "'");
+  if (ba == nullptr) fail("deps: unknown array '" + a.array + "'");
   const IndexExpr unified = IndexExpr::iter(iter_a);
   bool uses_iter_injectively = false;
   for (std::size_t d = 0; d < ba->materialized.size(); ++d) {
@@ -91,18 +102,12 @@ bool sameElementUnderIterMap(const Program& p, const Access& a, NodeId iter_a,
   return uses_iter_injectively;
 }
 
-bool fusionLegal(const Program& p, const std::vector<Node>& body_a,
-                 NodeId iter_a, const std::vector<Node>& body_b, NodeId iter_b) {
+bool fusionLegal(const Program& p, std::span<const Node> body_a,
+                 NodeId iter_a, std::span<const Node> body_b, NodeId iter_b) {
   std::vector<OpInfo> a_ops;
   std::vector<OpInfo> b_ops;
-  for (const auto& n : body_a) {
-    auto more = collectOpInfos(n);
-    a_ops.insert(a_ops.end(), more.begin(), more.end());
-  }
-  for (const auto& n : body_b) {
-    auto more = collectOpInfos(n);
-    b_ops.insert(b_ops.end(), more.begin(), more.end());
-  }
+  for (const auto& n : body_a) appendOpInfos(n, a_ops);
+  for (const auto& n : body_b) appendOpInfos(n, b_ops);
   auto crossOk = [&](const Access& wa, NodeId wi, const Access& ab, NodeId bi) {
     if (!mayAlias(p, wa, ab)) return true;
     return sameElementUnderIterMap(p, wa, wi, ab, bi);
@@ -110,13 +115,13 @@ bool fusionLegal(const Program& p, const std::vector<Node>& body_a,
   for (const auto& oa : a_ops) {
     for (const auto& ob : b_ops) {
       // write(A) vs read(B)
-      for (const auto& rb : ob.reads)
-        if (!crossOk(oa.write, iter_a, rb, iter_b)) return false;
+      for (const Access* rb : ob.reads())
+        if (!crossOk(*oa.write, iter_a, *rb, iter_b)) return false;
       // read(A) vs write(B)
-      for (const auto& ra : oa.reads)
-        if (!crossOk(ob.write, iter_b, ra, iter_a)) return false;
+      for (const Access* ra : oa.reads())
+        if (!crossOk(*ob.write, iter_b, *ra, iter_a)) return false;
       // write vs write
-      if (!crossOk(oa.write, iter_a, ob.write, iter_b)) return false;
+      if (!crossOk(*oa.write, iter_a, *ob.write, iter_b)) return false;
     }
   }
   return true;
@@ -126,11 +131,11 @@ bool opsSwappable(const Program& p, const Node& a, const Node& b) {
   if (!a.isOp() || !b.isOp()) return false;
   const OpInfo ia = opInfo(a);
   const OpInfo ib = opInfo(b);
-  for (const auto& r : ib.reads)
-    if (mayAlias(p, ia.write, r)) return false;
-  for (const auto& r : ia.reads)
-    if (mayAlias(p, ib.write, r)) return false;
-  if (mayAlias(p, ia.write, ib.write)) return false;
+  for (const Access* r : ib.reads())
+    if (mayAlias(p, *ia.write, *r)) return false;
+  for (const Access* r : ia.reads())
+    if (mayAlias(p, *ib.write, *r)) return false;
+  if (mayAlias(p, *ia.write, *ib.write)) return false;
   return true;
 }
 
@@ -138,14 +143,15 @@ bool interchangeLegal(const Program& p, const Node& outer, const Node& inner) {
   const auto ops = collectOpInfos(inner);  // nest body lives under inner
   // Group accesses per written array and apply the per-write rule.
   for (const auto& w : ops) {
-    const bool uses_outer = w.write.usesIter(outer.id);
-    const bool uses_inner = w.write.usesIter(inner.id);
+    const Access& write = *w.write;
+    const bool uses_outer = write.usesIter(outer.id);
+    const bool uses_inner = write.usesIter(inner.id);
     if (uses_outer && uses_inner) {
       // Every aliasing read must match the write exactly (distance 0).
       for (const auto& o : ops) {
-        for (const auto& r : o.reads) {
-          if (!mayAlias(p, w.write, r)) continue;
-          if (!(r == w.write)) return false;
+        for (const Access* r : o.reads()) {
+          if (!mayAlias(p, write, *r)) continue;
+          if (!(*r == write)) return false;
         }
       }
     } else {
@@ -154,15 +160,15 @@ bool interchangeLegal(const Program& p, const Node& outer, const Node& inner) {
       // must be the accumulation's own operand.
       if (!w.is_accumulation) return false;
       for (const auto& o : ops) {
-        for (const auto& r : o.reads) {
-          if (!mayAlias(p, w.write, r)) continue;
-          if (!(r == w.write)) return false;
+        for (const Access* r : o.reads()) {
+          if (!mayAlias(p, write, *r)) continue;
+          if (!(*r == write)) return false;
         }
       }
       // Aliasing writes from other ops would interleave differently.
       for (const auto& o : ops) {
         if (o.op == w.op) continue;
-        if (mayAlias(p, w.write, o.write) && !(o.write == w.write)) return false;
+        if (mayAlias(p, write, *o.write) && !(*o.write == write)) return false;
       }
     }
   }
@@ -173,16 +179,17 @@ bool iterationsIndependent(const Program& p, const Node& scope) {
   const auto ops = collectOpInfos(scope);
   // Per written buffer: collect all accesses to it within the subtree.
   for (const auto& w : ops) {
-    const Buffer* wb = p.bufferOfArray(w.write.array);
-    require(wb != nullptr, "deps: unknown array '" + w.write.array + "'");
+    const Access& write = *w.write;
+    const Buffer* wb = p.bufferOfArray(write.array);
+    if (wb == nullptr) fail("deps: unknown array '" + write.array + "'");
     // Dimensions (materialized) in which the write uses the scope iterator.
     std::vector<std::size_t> iter_dims;
     bool injective = false;
     for (std::size_t d = 0; d < wb->materialized.size(); ++d) {
       if (!wb->materialized[d]) continue;
-      if (w.write.idx[d].usesIter(scope.id)) {
+      if (write.idx[d].usesIter(scope.id)) {
         iter_dims.push_back(d);
-        if (affineNonzeroIn(w.write.idx[d], scope.id)) injective = true;
+        if (affineNonzeroIn(write.idx[d], scope.id)) injective = true;
       }
     }
     if (iter_dims.empty() || !injective) return false;  // reduction over scope
@@ -190,15 +197,15 @@ bool iterationsIndependent(const Program& p, const Node& scope) {
     // must agree with it syntactically on those dimensions.
     auto agree = [&](const Access& a) {
       if (p.bufferOfArray(a.array) != wb) return true;  // different storage
-      if (a.array != w.write.array) return false;       // shared-buffer alias
+      if (a.array != write.array) return false;         // shared-buffer alias
       for (std::size_t d : iter_dims)
-        if (!(a.idx[d] == w.write.idx[d])) return false;
+        if (!(a.idx[d] == write.idx[d])) return false;
       return true;
     };
     for (const auto& o : ops) {
-      if (!agree(o.write)) return false;
-      for (const auto& r : o.reads)
-        if (!agree(r)) return false;
+      if (!agree(*o.write)) return false;
+      for (const Access* r : o.reads())
+        if (!agree(*r)) return false;
     }
   }
   return true;

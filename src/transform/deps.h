@@ -7,17 +7,27 @@
 // storage, so they alias by construction).
 #pragma once
 
+#include <array>
+#include <span>
 #include <vector>
 
 #include "ir/program.h"
 
 namespace perfdojo::transform {
 
-/// Flattened view of one operation's memory behaviour.
+/// Flattened view of one operation's memory behaviour. It borrows: `op`,
+/// `write` and the read pointers point into the op node, so an OpInfo is
+/// valid only while that node is neither moved nor destroyed (a copy of the
+/// program, or a change to the parent's child list, ends it).
 struct OpInfo {
   const ir::Node* op = nullptr;
-  ir::Access write;
-  std::vector<ir::Access> reads;
+  const ir::Access* write = nullptr;
+  /// The op's array operands in operand order; op arity is at most 3.
+  std::array<const ir::Access*, 3> read_slots{};
+  std::size_t num_reads = 0;
+  std::span<const ir::Access* const> reads() const {
+    return {read_slots.data(), num_reads};
+  }
   /// True when the op is of accumulation form: the output element also
   /// appears as an input with an identical access, and the opcode is
   /// associative + commutative (add/mul/max/min). Reductions in the IR are
@@ -27,7 +37,7 @@ struct OpInfo {
 
 OpInfo opInfo(const ir::Node& op);
 
-/// All OpInfos in a subtree, execution order.
+/// All OpInfos in a subtree, execution order (borrowing from it).
 std::vector<OpInfo> collectOpInfos(const ir::Node& root);
 
 /// Whether two accesses may touch the same memory. Conservative.
@@ -46,8 +56,8 @@ bool sameElementUnderIterMap(const ir::Program& p, const ir::Access& a,
 /// write/write on aliasing memory) must be a same-iteration, same-element
 /// dependency. This single predicate serves join_scopes and fission_scope
 /// (fission of S into A;B is legal iff fusing A and B back is).
-bool fusionLegal(const ir::Program& p, const std::vector<ir::Node>& body_a,
-                 ir::NodeId iter_a, const std::vector<ir::Node>& body_b,
+bool fusionLegal(const ir::Program& p, std::span<const ir::Node> body_a,
+                 ir::NodeId iter_a, std::span<const ir::Node> body_b,
                  ir::NodeId iter_b);
 
 /// Legality of swapping two adjacent sibling ops (no aliasing between one's

@@ -2,6 +2,7 @@
 // fusion (join_scopes), fission, and sibling reordering.
 #include <algorithm>
 #include <set>
+#include <span>
 
 #include "ir/walk.h"
 #include "support/common.h"
@@ -24,34 +25,6 @@ void substituteInChildren(std::vector<Node>& children, NodeId from,
   for (auto& c : children) ir::substituteIter(c, from, repl);
 }
 
-// Shared scoped-enumeration shape for transforms whose candidate sites are
-// exactly the scope nodes (one parameterless location per applicable scope):
-// the subsequence of the full collectScopes enumeration inside a subtree,
-// and the single-node recheck.
-template <typename T>
-std::vector<Location> scopeLocationsWithin(const T& t, const Program& p,
-                                           NodeId subtree_root) {
-  std::vector<Location> out;
-  for (const Node* s : ir::collectScopesWithin(p.root, subtree_root)) {
-    Location loc;
-    loc.node = s->id;
-    if (t.isApplicable(p, loc)) out.push_back(loc);
-  }
-  return out;
-}
-
-template <typename T>
-std::vector<Location> scopeLocationAt(const T& t, const Program& p, NodeId node) {
-  std::vector<Location> out;
-  const Node* s = ir::findNode(p.root, node);
-  if (s != nullptr && s->id != p.root.id && s->isScope()) {
-    Location loc;
-    loc.node = node;
-    if (t.isApplicable(p, loc)) out.push_back(loc);
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 
 class SplitScope final : public CheckedTransform {
@@ -59,11 +32,8 @@ class SplitScope final : public CheckedTransform {
   std::string name() const override { return "split_scope"; }
 
   bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    const std::int64_t f = loc.param;
-    return f >= 2 && f < s->extent && s->extent % f == 0;
+    const Node* s = scopeSite(p, loc.node);
+    return s != nullptr && ok(*s, loc.param);
   }
 
   std::vector<Location> findApplicable(const Program& p,
@@ -74,33 +44,41 @@ class SplitScope final : public CheckedTransform {
   std::vector<Location> findApplicable(const Program& p, const MachineCaps& caps,
                                        ir::NodeId subtree_root) const override {
     std::vector<Location> out;
+    const std::set<std::int64_t> factors = splitFactors(caps);
     for (const Node* s : ir::collectScopesWithin(p.root, subtree_root))
-      emitAt(p, caps, *s, out);
+      emitAt(factors, *s, out);
     return out;
   }
 
   std::vector<Location> findApplicableAt(const Program& p, const MachineCaps& caps,
                                          ir::NodeId node) const override {
     std::vector<Location> out;
-    const Node* s = ir::findNode(p.root, node);
-    if (s != nullptr && s->id != p.root.id && s->isScope())
-      emitAt(p, caps, *s, out);
+    if (const Node* s = scopeSite(p, node)) emitAt(splitFactors(caps), *s, out);
     return out;
   }
 
  private:
-  void emitAt(const Program& p, const MachineCaps& caps, const Node& s,
-              std::vector<Location>& out) const {
-    if (s.anno != LoopAnno::None) return;
+  static std::set<std::int64_t> splitFactors(const MachineCaps& caps) {
     std::set<std::int64_t> factors(caps.split_factors.begin(),
                                    caps.split_factors.end());
     for (std::int64_t w : caps.vector_widths) factors.insert(w);
     if (caps.is_gpu) factors.insert(caps.warp_size);
+    return factors;
+  }
+
+  static bool ok(const Node& s, std::int64_t f) {
+    if (s.anno != LoopAnno::None) return false;
+    return f >= 2 && f < s.extent && s.extent % f == 0;
+  }
+
+  static void emitAt(const std::set<std::int64_t>& factors, const Node& s,
+                     std::vector<Location>& out) {
     for (std::int64_t f : factors) {
+      if (!ok(s, f)) continue;
       Location loc;
       loc.node = s.id;
       loc.param = f;
-      if (isApplicable(p, loc)) out.push_back(loc);
+      out.push_back(loc);
     }
   }
 
@@ -132,11 +110,8 @@ class CollapseScopes final : public CheckedTransform {
   std::string name() const override { return "collapse_scopes"; }
 
   bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    if (s->children.size() != 1 || !s->children[0].isScope()) return false;
-    return s->children[0].anno == LoopAnno::None;
+    const Node* s = scopeSite(p, loc.node);
+    return s != nullptr && ok(*s);
   }
 
   std::vector<Location> findApplicable(const Program& p,
@@ -146,12 +121,19 @@ class CollapseScopes final : public CheckedTransform {
 
   std::vector<Location> findApplicable(const Program& p, const MachineCaps&,
                                        ir::NodeId subtree_root) const override {
-    return scopeLocationsWithin(*this, p, subtree_root);
+    return scopeLocationsWithin(p, subtree_root, ok);
   }
 
   std::vector<Location> findApplicableAt(const Program& p, const MachineCaps&,
                                          ir::NodeId node) const override {
-    return scopeLocationAt(*this, p, node);
+    return scopeLocationAt(p, node, ok);
+  }
+
+ private:
+  static bool ok(const Node& s) {
+    if (s.anno != LoopAnno::None) return false;
+    if (s.children.size() != 1 || !s.children[0].isScope()) return false;
+    return s.children[0].anno == LoopAnno::None;
   }
 
  protected:
@@ -183,13 +165,8 @@ class InterchangeScopes final : public CheckedTransform {
   std::string name() const override { return "interchange_scopes"; }
 
   bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* outer = ir::findNode(p.root, loc.node);
-    if (!outer || !outer->isScope() || outer->id == p.root.id) return false;
-    if (outer->anno != LoopAnno::None) return false;
-    if (outer->children.size() != 1 || !outer->children[0].isScope()) return false;
-    const Node& inner = outer->children[0];
-    if (inner.anno != LoopAnno::None) return false;
-    return interchangeLegal(p, *outer, inner);
+    const Node* s = scopeSite(p, loc.node);
+    return s != nullptr && ok(p, *s);
   }
 
   std::vector<Location> findApplicable(const Program& p,
@@ -199,12 +176,22 @@ class InterchangeScopes final : public CheckedTransform {
 
   std::vector<Location> findApplicable(const Program& p, const MachineCaps&,
                                        ir::NodeId subtree_root) const override {
-    return scopeLocationsWithin(*this, p, subtree_root);
+    return scopeLocationsWithin(p, subtree_root,
+                                [&](const Node& s) { return ok(p, s); });
   }
 
   std::vector<Location> findApplicableAt(const Program& p, const MachineCaps&,
                                          ir::NodeId node) const override {
-    return scopeLocationAt(*this, p, node);
+    return scopeLocationAt(p, node, [&](const Node& s) { return ok(p, s); });
+  }
+
+ private:
+  static bool ok(const Program& p, const Node& outer) {
+    if (outer.anno != LoopAnno::None) return false;
+    if (outer.children.size() != 1 || !outer.children[0].isScope()) return false;
+    const Node& inner = outer.children[0];
+    if (inner.anno != LoopAnno::None) return false;
+    return interchangeLegal(p, outer, inner);
   }
 
  protected:
@@ -231,13 +218,7 @@ class JoinScopes final : public CheckedTransform {
     const Node* parent = ir::findParent(p.root, loc.node);
     if (!parent) return false;
     const int i = ir::childIndex(*parent, loc.node);
-    if (i < 0 || i + 1 >= static_cast<int>(parent->children.size())) return false;
-    const Node& s = parent->children[static_cast<std::size_t>(i)];
-    const Node& t = parent->children[static_cast<std::size_t>(i) + 1];
-    if (!s.isScope() || !t.isScope()) return false;
-    if (s.extent != t.extent) return false;
-    if (s.anno != LoopAnno::None || t.anno != LoopAnno::None) return false;
-    return fusionLegal(p, s.children, s.id, t.children, t.id);
+    return i >= 0 && ok(p, *parent, static_cast<std::size_t>(i));
   }
 
   std::vector<Location> findApplicable(const Program& p,
@@ -245,14 +226,55 @@ class JoinScopes final : public CheckedTransform {
     return findApplicable(p, caps, p.root.id);
   }
 
+  // The sites are the scopes of the subtree in collectScopesWithin order,
+  // each tested with the parent the walk holds (the predicate reads the
+  // next sibling).
   std::vector<Location> findApplicable(const Program& p, const MachineCaps&,
                                        ir::NodeId subtree_root) const override {
-    return scopeLocationsWithin(*this, p, subtree_root);
+    std::vector<Location> out;
+    auto visit = [&](auto&& self, const Node& parent, std::size_t i) -> void {
+      const Node& s = parent.children[i];
+      if (!s.isScope()) return;
+      if (ok(p, parent, i)) out.push_back(siteAt(s.id));
+      for (std::size_t j = 0; j < s.children.size(); ++j) self(self, s, j);
+    };
+    if (subtree_root == p.root.id) {
+      for (std::size_t j = 0; j < p.root.children.size(); ++j)
+        visit(visit, p.root, j);
+    } else if (const Node* parent = ir::findParent(p.root, subtree_root)) {
+      visit(visit, *parent,
+            static_cast<std::size_t>(ir::childIndex(*parent, subtree_root)));
+    }
+    return out;
   }
 
   std::vector<Location> findApplicableAt(const Program& p, const MachineCaps&,
                                          ir::NodeId node) const override {
-    return scopeLocationAt(*this, p, node);
+    std::vector<Location> out;
+    const Node* parent = ir::findParent(p.root, node);
+    if (parent == nullptr) return out;
+    const auto i = static_cast<std::size_t>(ir::childIndex(*parent, node));
+    if (parent->children[i].isScope() && ok(p, *parent, i))
+      out.push_back(siteAt(node));
+    return out;
+  }
+
+ private:
+  static Location siteAt(NodeId node) {
+    Location loc;
+    loc.node = node;
+    return loc;
+  }
+
+  /// Fusing parent.children[i] with its next sibling.
+  static bool ok(const Program& p, const Node& parent, std::size_t i) {
+    if (i + 1 >= parent.children.size()) return false;
+    const Node& s = parent.children[i];
+    const Node& t = parent.children[i + 1];
+    if (!s.isScope() || !t.isScope()) return false;
+    if (s.extent != t.extent) return false;
+    if (s.anno != LoopAnno::None || t.anno != LoopAnno::None) return false;
+    return fusionLegal(p, s.children, s.id, t.children, t.id);
   }
 
  protected:
@@ -276,16 +298,12 @@ class FissionScope final : public CheckedTransform {
   std::string name() const override { return "fission_scope"; }
 
   bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
+    const Node* s = scopeSite(p, loc.node);
+    if (s == nullptr) return false;
     const std::int64_t cut = loc.param;
     if (cut < 1 || cut >= static_cast<std::int64_t>(s->children.size()))
       return false;
-    std::vector<Node> a(s->children.begin(), s->children.begin() + cut);
-    std::vector<Node> b(s->children.begin() + cut, s->children.end());
-    // Fission is legal iff the two halves could be legally fused back.
-    return fusionLegal(p, a, s->id, b, s->id);
+    return ok(p, *s, static_cast<std::size_t>(cut));
   }
 
   std::vector<Location> findApplicable(const Program& p,
@@ -293,31 +311,37 @@ class FissionScope final : public CheckedTransform {
     return findApplicable(p, caps, p.root.id);
   }
 
-  std::vector<Location> findApplicable(const Program& p, const MachineCaps& caps,
+  std::vector<Location> findApplicable(const Program& p, const MachineCaps&,
                                        ir::NodeId subtree_root) const override {
     std::vector<Location> out;
     for (const Node* s : ir::collectScopesWithin(p.root, subtree_root))
-      emitAt(p, caps, *s, out);
+      emitAt(p, *s, out);
     return out;
   }
 
-  std::vector<Location> findApplicableAt(const Program& p, const MachineCaps& caps,
+  std::vector<Location> findApplicableAt(const Program& p, const MachineCaps&,
                                          ir::NodeId node) const override {
     std::vector<Location> out;
-    const Node* s = ir::findNode(p.root, node);
-    if (s != nullptr && s->id != p.root.id && s->isScope())
-      emitAt(p, caps, *s, out);
+    if (const Node* s = scopeSite(p, node)) emitAt(p, *s, out);
     return out;
   }
 
  private:
-  void emitAt(const Program& p, const MachineCaps&, const Node& s,
-              std::vector<Location>& out) const {
+  /// Cutting s's children before index `cut` (1 <= cut < size).
+  static bool ok(const Program& p, const Node& s, std::size_t cut) {
+    if (s.anno != LoopAnno::None) return false;
+    // Fission is legal iff the two halves could be legally fused back.
+    const std::span<const Node> body(s.children);
+    return fusionLegal(p, body.first(cut), s.id, body.subspan(cut), s.id);
+  }
+
+  void emitAt(const Program& p, const Node& s, std::vector<Location>& out) const {
     for (std::size_t cut = 1; cut < s.children.size(); ++cut) {
+      if (!ok(p, s, cut)) continue;
       Location loc;
       loc.node = s.id;
       loc.param = static_cast<std::int64_t>(cut);
-      if (isApplicable(p, loc)) out.push_back(loc);
+      out.push_back(loc);
     }
   }
 
@@ -348,23 +372,7 @@ class ReorderOps final : public CheckedTransform {
     const Node* parent = ir::findParent(p.root, loc.node);
     if (!parent) return false;
     const int i = ir::childIndex(*parent, loc.node);
-    if (i < 0 || i + 1 >= static_cast<int>(parent->children.size())) return false;
-    const Node& a = parent->children[static_cast<std::size_t>(i)];
-    const Node& b = parent->children[static_cast<std::size_t>(i) + 1];
-    // Entire subtrees must be independent: no write of one may alias any
-    // access of the other.
-    const auto as = collectOpInfos(a);
-    const auto bs = collectOpInfos(b);
-    for (const auto& oa : as) {
-      for (const auto& ob : bs) {
-        if (mayAlias(p, oa.write, ob.write)) return false;
-        for (const auto& r : ob.reads)
-          if (mayAlias(p, oa.write, r)) return false;
-        for (const auto& r : oa.reads)
-          if (mayAlias(p, ob.write, r)) return false;
-      }
-    }
-    return true;
+    return i >= 0 && ok(p, *parent, static_cast<std::size_t>(i));
   }
 
   std::vector<Location> findApplicable(const Program& p,
@@ -394,13 +402,33 @@ class ReorderOps final : public CheckedTransform {
   }
 
  private:
+  /// Swapping parent.children[i] with its next sibling.
+  static bool ok(const Program& p, const Node& parent, std::size_t i) {
+    if (i + 1 >= parent.children.size()) return false;
+    // Entire subtrees must be independent: no write of one may alias any
+    // access of the other.
+    const auto as = collectOpInfos(parent.children[i]);
+    const auto bs = collectOpInfos(parent.children[i + 1]);
+    for (const auto& oa : as) {
+      for (const auto& ob : bs) {
+        if (mayAlias(p, *oa.write, *ob.write)) return false;
+        for (const ir::Access* r : ob.reads())
+          if (mayAlias(p, *oa.write, *r)) return false;
+        for (const ir::Access* r : oa.reads())
+          if (mayAlias(p, *ob.write, *r)) return false;
+      }
+    }
+    return true;
+  }
+
   void emitAt(const Program& p, const MachineCaps&, const Node& parent,
               std::vector<Location>& out) const {
     if (!parent.isScope()) return;
     for (std::size_t i = 0; i + 1 < parent.children.size(); ++i) {
+      if (!ok(p, parent, i)) continue;
       Location loc;
       loc.node = parent.children[i].id;
-      if (isApplicable(p, loc)) out.push_back(loc);
+      out.push_back(loc);
     }
   }
 

@@ -1,7 +1,6 @@
 // Memory-layout transformations: buffer dimension reuse (`:N`), its inverse,
 // dimension reordering, padding, and storage-space selection.
 #include <algorithm>
-#include <optional>
 
 #include "ir/walk.h"
 #include "support/common.h"
@@ -72,13 +71,13 @@ class ReuseDims final : public CheckedTransform {
     if (loc.dim < 0 || loc.dim >= static_cast<int>(b->rank())) return false;
     if (!b->materialized[static_cast<std::size_t>(loc.dim)]) return false;
 
-    std::optional<IndexExpr> common;
+    const IndexExpr* common = nullptr;  // borrowed from the first access
     bool all_same = true;
     int accesses = 0;
     forEachBufferAccess(p, *b, [&](const ir::Access& a) {
       ++accesses;
       const IndexExpr& e = a.idx[static_cast<std::size_t>(loc.dim)];
-      if (!common) common = e;
+      if (!common) common = &e;
       else if (!(*common == e)) all_same = false;
     });
     if (accesses == 0 || !all_same) return false;
@@ -112,7 +111,7 @@ class ReuseDims final : public CheckedTransform {
     // declaration order, dims ascending) and the verdict per site are
     // identical to the per-site scan.
     struct DimState {
-      std::optional<IndexExpr> common;
+      const IndexExpr* common = nullptr;  // borrowed from the first access
       bool all_same = true;
       int accesses = 0;
     };
@@ -130,7 +129,7 @@ class ReuseDims final : public CheckedTransform {
           DimState& ds = dims[d];
           ++ds.accesses;
           if (!ds.common)
-            ds.common = a.idx[d];
+            ds.common = &a.idx[d];
           else if (ds.all_same && !(*ds.common == a.idx[d]))
             ds.all_same = false;
         }

@@ -65,26 +65,8 @@ class PartialReduce final : public CheckedTransform {
   std::string name() const override { return "partial_reduce"; }
 
   bool isApplicable(const Program& p, const Location& loc) const override {
-    const Node* s = ir::findNode(p.root, loc.node);
-    if (!s || !s->isScope() || s->id == p.root.id) return false;
-    if (s->anno != LoopAnno::None) return false;
-    if (s->children.size() != 1 || !s->children[0].isOp()) return false;
-    const Node& op = s->children[0];
-    const auto info = opInfo(op);
-    if (!info.is_accumulation) return false;
-    if (op.out.usesIter(s->id)) return false;  // must reduce over S
-    double identity;
-    OpCode combine;
-    if (!reductionIdentity(op.op, identity, combine)) return false;
-    const std::int64_t k = loc.param;
-    if (k < 2 || k > 64 || s->extent % k != 0 || s->extent == k) return false;
-    // Non-accumulator operands must not alias the accumulator.
-    for (const auto& in : op.ins) {
-      if (in.kind != Operand::Kind::Array) continue;
-      if (in.access == op.out) continue;
-      if (mayAlias(p, op.out, in.access)) return false;
-    }
-    return true;
+    const Node* s = scopeSite(p, loc.node);
+    return s != nullptr && ok(p, *s, loc.param);
   }
 
   std::vector<Location> findApplicable(const Program& p,
@@ -95,31 +77,55 @@ class PartialReduce final : public CheckedTransform {
   std::vector<Location> findApplicable(const Program& p, const MachineCaps& caps,
                                        ir::NodeId subtree_root) const override {
     std::vector<Location> out;
+    const std::vector<std::int64_t> ks = partialCounts(caps);
     for (const Node* s : ir::collectScopesWithin(p.root, subtree_root))
-      emitAt(p, caps, *s, out);
+      emitAt(p, ks, *s, out);
     return out;
   }
 
   std::vector<Location> findApplicableAt(const Program& p, const MachineCaps& caps,
                                          ir::NodeId node) const override {
     std::vector<Location> out;
-    const Node* s = ir::findNode(p.root, node);
-    if (s != nullptr && s->id != p.root.id && s->isScope())
-      emitAt(p, caps, *s, out);
+    if (const Node* s = scopeSite(p, node)) emitAt(p, partialCounts(caps), *s, out);
     return out;
   }
 
  private:
-  void emitAt(const Program& p, const MachineCaps& caps, const Node& s,
-              std::vector<Location>& out) const {
+  static std::vector<std::int64_t> partialCounts(const MachineCaps& caps) {
     std::vector<std::int64_t> ks = {2, 4, 8, 16};
     for (std::int64_t w : caps.vector_widths)
       if (std::find(ks.begin(), ks.end(), w) == ks.end()) ks.push_back(w);
+    return ks;
+  }
+
+  /// Splitting the reduction over scope `s` into `k` partial accumulators.
+  static bool ok(const Program& p, const Node& s, std::int64_t k) {
+    if (s.anno != LoopAnno::None) return false;
+    if (s.children.size() != 1 || !s.children[0].isOp()) return false;
+    const Node& op = s.children[0];
+    if (!opInfo(op).is_accumulation) return false;
+    if (op.out.usesIter(s.id)) return false;  // must reduce over S
+    double identity;
+    OpCode combine;
+    if (!reductionIdentity(op.op, identity, combine)) return false;
+    if (k < 2 || k > 64 || s.extent % k != 0 || s.extent == k) return false;
+    // Non-accumulator operands must not alias the accumulator.
+    for (const auto& in : op.ins) {
+      if (in.kind != Operand::Kind::Array) continue;
+      if (in.access == op.out) continue;
+      if (mayAlias(p, op.out, in.access)) return false;
+    }
+    return true;
+  }
+
+  void emitAt(const Program& p, const std::vector<std::int64_t>& ks,
+              const Node& s, std::vector<Location>& out) const {
     for (std::int64_t k : ks) {
+      if (!ok(p, s, k)) continue;
       Location loc;
       loc.node = s.id;
       loc.param = k;
-      if (isApplicable(p, loc)) out.push_back(loc);
+      out.push_back(loc);
     }
   }
 

@@ -32,9 +32,9 @@ TEST(Deps, MayAliasBufferGranularity) {
   const auto ops = ir::collectOps(p.root);
   const auto info = opInfo(*ops[0]);
   // x and z are different buffers.
-  EXPECT_FALSE(mayAlias(p, info.write, info.reads[0]));
+  EXPECT_FALSE(mayAlias(p, *info.write, *info.reads()[0]));
   // z vs z same indices.
-  EXPECT_TRUE(mayAlias(p, info.write, info.write));
+  EXPECT_TRUE(mayAlias(p, *info.write, *info.write));
 }
 
 TEST(Deps, MayAliasConstDistinct) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "ir/index_expr.h"
 #include "support/common.h"
 
@@ -98,6 +100,98 @@ TEST(IndexExpr, Equality) {
   auto c = IndexExpr::add(IndexExpr::iter(1), IndexExpr::constant(3));
   EXPECT_TRUE(a == b);
   EXPECT_FALSE(a == c);
+}
+
+// Reference copies of the copy-based substitute/simplified the rewrite
+// replaced: every binary node starts from a copy of itself (rebuilt here
+// through the public API), so the result structure is what the old code
+// produced.
+IndexExpr refSubstitute(const IndexExpr& e, NodeId from, const IndexExpr& repl) {
+  if (e.isIter()) return e.iterScope() == from ? repl : e;
+  if (e.isConst()) return e;
+  return IndexExpr::binary(e.kind(), refSubstitute(e.lhs(), from, repl),
+                           refSubstitute(e.rhs(), from, repl));
+}
+
+IndexExpr refSimplified(const IndexExpr& e) {
+  using K = IndexExpr::Kind;
+  if (e.isIter() || e.isConst()) return e;
+  const IndexExpr a = refSimplified(e.lhs());
+  const IndexExpr b = refSimplified(e.rhs());
+  const auto isC = [](const IndexExpr& x, std::int64_t v) {
+    return x.isConst() && x.constValue() == v;
+  };
+  if (a.isConst() && b.isConst()) {
+    const std::int64_t x = a.constValue();
+    const std::int64_t y = b.constValue();
+    switch (e.kind()) {
+      case K::Add: return IndexExpr::constant(x + y);
+      case K::Sub: return IndexExpr::constant(x - y);
+      case K::Mul: return IndexExpr::constant(x * y);
+      case K::Div: return y != 0 ? IndexExpr::constant(x / y) : e;
+      case K::Mod: return y != 0 ? IndexExpr::constant(x % y) : e;
+      default: break;
+    }
+  }
+  if (e.kind() == K::Add) {
+    if (isC(a, 0)) return b;
+    if (isC(b, 0)) return a;
+  }
+  if (e.kind() == K::Sub && isC(b, 0)) return a;
+  if (e.kind() == K::Mul) {
+    if (isC(a, 1)) return b;
+    if (isC(b, 1)) return a;
+    if (isC(a, 0) || isC(b, 0)) return IndexExpr::constant(0);
+  }
+  if (e.kind() == K::Div && isC(b, 1)) return a;
+  return IndexExpr::binary(e.kind(), a, b);
+}
+
+/// Random expression over iterators 1..3 and constants -2..3 (0 and 1 are
+/// frequent, so x*1, x+0, 0*x, c op c and div/mod by 0 and 1 all occur).
+/// Depth 5 keeps every constant fold inside int64.
+IndexExpr randomExpr(std::mt19937_64& rng, int depth) {
+  std::uniform_int_distribution<int> pick(0, 9);
+  const int r = pick(rng);
+  if (depth == 0 || r < 3) {
+    if (r % 2 == 0)
+      return IndexExpr::iter(static_cast<NodeId>(1 + pick(rng) % 3));
+    return IndexExpr::constant(static_cast<std::int64_t>(pick(rng) % 6) - 2);
+  }
+  const auto kind = static_cast<IndexExpr::Kind>(
+      static_cast<int>(IndexExpr::Kind::Add) + pick(rng) % 5);
+  IndexExpr a = randomExpr(rng, depth - 1);
+  IndexExpr b = randomExpr(rng, depth - 1);
+  return IndexExpr::binary(kind, std::move(a), std::move(b));
+}
+
+TEST(IndexExpr, SubstituteAndSimplifyMatchReference) {
+  const auto x = IndexExpr::iter(1);
+  const auto c = [](std::int64_t v) { return IndexExpr::constant(v); };
+  std::vector<IndexExpr> inputs = {
+      IndexExpr::mul(x, c(1)),        IndexExpr::add(x, c(0)),
+      IndexExpr::mul(c(0), x),        IndexExpr::add(c(2), c(3)),
+      IndexExpr::mod(c(7), c(3)),     IndexExpr::div(x, c(0)),
+      IndexExpr::mod(x, c(0)),        IndexExpr::div(c(4), c(0)),
+      IndexExpr::mod(IndexExpr::add(c(1), c(1)), IndexExpr::sub(c(2), c(2))),
+      IndexExpr::div(x, c(1)),        IndexExpr::mod(x, c(1)),
+      IndexExpr::sub(x, c(0)),        IndexExpr::sub(c(0), x),
+  };
+  std::mt19937_64 rng(20261019);
+  for (int i = 0; i < 4000; ++i) inputs.push_back(randomExpr(rng, 5));
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const IndexExpr& e = inputs[i];
+    ASSERT_TRUE(e.simplified() == refSimplified(e)) << "input " << i;
+    const IndexExpr repl = randomExpr(rng, 2);
+    // from = 4 is absent: the substitution is then an identity rewrite.
+    for (NodeId from = 1; from <= 4; ++from) {
+      const IndexExpr got = e.substitute(from, repl);
+      ASSERT_TRUE(got == refSubstitute(e, from, repl))
+          << "input " << i << " from " << from;
+      ASSERT_TRUE(got.simplified() == refSimplified(refSubstitute(e, from, repl)))
+          << "input " << i << " from " << from;
+    }
+  }
 }
 
 TEST(IndexExpr, InvalidAccessThrows) {

@@ -211,6 +211,35 @@ TEST(Parser, CommentsIgnored) {
   EXPECT_NO_THROW(parseProgram(text));
 }
 
+TEST(Walk, SubstituteIterNormalizesUntouchedExpressions) {
+  const std::string text =
+      "kernel k\n"
+      "buffer x f32 [4, 8] heap\n"
+      "buffer y f32 [4, 8] heap\n"
+      "in x\nout y\n\n"
+      "4\n"
+      "| 8\n"
+      "| | y[{0},{1}] = relu x[{0},{1}]\n";
+  const Program normalized = parseProgram(text);
+  // The parser simplifies what it reads, so the unsimplified `{0}+0` (the
+  // outer iterator, which the substitution below leaves alone) is planted
+  // directly in the output access.
+  Program p = parseProgram(text);
+  const auto scopes = collectScopes(p.root);
+  ASSERT_EQ(scopes.size(), 2u);
+  const NodeId outer = scopes[0]->id;
+  const NodeId inner = scopes[1]->id;
+  Node& op = scopes[1]->children[0];
+  op.out.idx[0] = IndexExpr::add(IndexExpr::iter(outer), IndexExpr::constant(0));
+  ASSERT_NE(canonicalText(p), canonicalText(normalized));
+
+  substituteIter(p.root, inner, IndexExpr::iter(inner));
+  EXPECT_TRUE(op.out.idx[0] == IndexExpr::iter(outer));
+  EXPECT_EQ(canonicalText(p), canonicalText(normalized));
+  // The hash the copy-based rewrite produced for this program.
+  EXPECT_EQ(canonicalHash(p), 7852263724742562616ull);
+}
+
 TEST(Parser, TransformedProgramRoundTrips) {
   // reused dims + annotations + affine indices all at once.
   Program p = kernels::makeSoftmax(4, 8);
