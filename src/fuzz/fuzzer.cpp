@@ -69,33 +69,47 @@ OracleReport actionSetFailure(std::size_t step_index, const std::string& what) {
 
 /// The delta oracle: price the (base, action) pair in place through a
 /// search::Neighborhood bound against `caps` and demand bit-identity with
-/// the full copy-based canonical hash of the applied result. `full_hash` is
-/// the caller's already-computed canonicalHash(action.apply(base)).
+/// the copy pipeline: the probe's hash must be fnv1a(full_text) and the
+/// probe's splice, applied to the base text, must rebuild full_text byte for
+/// byte. `full_text` is the caller's already-rendered
+/// canonicalText(action.apply(base)).
 OracleReport checkArenaDelta(const ir::Program& base,
                              const transform::MachineCaps& caps,
                              const transform::Action& a,
-                             std::uint64_t full_hash,
+                             const std::string& full_text,
                              std::size_t step_index) {
   OracleReport r;
   search::Neighborhood nb;
   nb.bind(base, caps);
+  const std::string base_text = nb.baseText();
+  const std::uint64_t full_hash = fnv1a(full_text);
   std::uint64_t h = 0;
-  std::string what;
+  std::string spliced, what;
   try {
-    h = nb.neighborHash(a);
+    h = nb.neighborVisit(a, [&](std::uint64_t, const ir::Program&,
+                                const ir::TextSplice& s) {
+      spliced = s.apply(base_text);
+    });
   } catch (const Error& e) {
-    // The copy-based apply succeeded (full_hash exists), so an in-place
+    // The copy-based apply succeeded (full_text exists), so an in-place
     // refusal is a pricing-path divergence, not an apply-layer finding.
-    what = std::string("neighborHash threw: ") + e.what();
+    what = std::string("neighborVisit threw: ") + e.what();
   }
-  if (what.empty() && h == full_hash) return r;
+  if (what.empty() && h != full_hash)
+    what = "delta hash " + std::to_string(h) + " != full canonical hash " +
+           std::to_string(full_hash);
+  if (what.empty() && spliced != full_text) {
+    const auto diff = std::mismatch(spliced.begin(), spliced.end(),
+                                    full_text.begin(), full_text.end());
+    what = "splice text differs from full canonical text at byte " +
+           std::to_string(diff.first - spliced.begin()) + " (" +
+           std::to_string(spliced.size()) + " vs " +
+           std::to_string(full_text.size()) + " bytes)";
+  }
+  if (what.empty()) return r;
   r.ok = false;
   r.layer = OracleLayer::ArenaDelta;
-  r.detail = "step " + std::to_string(step_index) + ": " +
-             (what.empty() ? "delta hash " + std::to_string(h) +
-                                 " != full canonical hash " +
-                                 std::to_string(full_hash)
-                           : what);
+  r.detail = "step " + std::to_string(step_index) + ": " + what;
   return r;
 }
 
@@ -133,7 +147,7 @@ OracleReport reportForSteps(const ir::Program& original,
     if (base) {
       const auto r =
           checkArenaDelta(*base, prof.caps, {steps[i].transform, steps[i].loc},
-                          ir::canonicalHash(q), i);
+                          ir::canonicalText(q), i);
       if (!r.ok) return r;
     }
   }
@@ -189,8 +203,9 @@ TrajectoryOutcome walkOne(const ir::Program& original, const CapsProfile& prof,
     if (!out.report.ok) return out;
     if (opts.check_arena) {
       // Arena-delta layer: the same step, priced in place through a
-      // Neighborhood, must produce the hash the copy path just produced.
-      out.report = checkArenaDelta(p, prof.caps, a, ir::canonicalHash(q),
+      // Neighborhood, must produce the hash and (through its splice) the
+      // text the copy path just produced.
+      out.report = checkArenaDelta(p, prof.caps, a, ir::canonicalText(q),
                                    out.steps.size() - 1);
       if (!out.report.ok) return out;
     }

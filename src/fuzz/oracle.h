@@ -21,10 +21,13 @@
 //   arena-delta — search::Neighborhood prices each walk step's (base,
 //                action) pair in place (arena probe + undo), and the hash
 //                must agree bit-for-bit with
-//                ir::canonicalHash(action.apply(base)), the copy pipeline.
+//                ir::canonicalHash(action.apply(base)), the copy pipeline;
+//                the probe's splice applied to the base text must rebuild
+//                ir::canonicalText(action.apply(base)) byte for byte.
 //                A divergence means delta-hashed search would key the memo
-//                table wrong (checked by the fuzz walk and by runWitness
-//                during replay, like the apply layer)
+//                table wrong, or the prior would score a text that is not
+//                the candidate's (checked by the fuzz walk and by
+//                runWitness during replay, like the apply layer)
 //   action-set — a transform::ActionSet maintained across the walk's
 //                mutations (spliced from each step's MutationSummary) must
 //                stay element-identical — same elements, same order — to a
@@ -59,7 +62,7 @@ struct OracleOptions {
   bool check_roundtrip = true;
   bool check_incremental = true;
   bool check_cache = true;
-  bool check_arena = true;        // delta hash vs copy-pipeline hash
+  bool check_arena = true;        // delta hash + splice vs copy pipeline
   bool check_action_set = true;   // spliced ActionSet vs fresh allActions
   bool check_codegen = false;     // compiles with the system C compiler
   double codegen_rel_tol = 1e-3;  // compiled f32 arithmetic vs f64 interpreter

@@ -70,27 +70,37 @@ void CanonicalArena::chainOf(std::size_t slot, std::vector<NodeId>& out) const {
   std::reverse(out.begin(), out.end());
 }
 
-std::uint64_t CanonicalArena::fullRender(const Program& q) const {
-  const std::string text = canonicalText(q);
-  return fnv1a(text.data(), text.size());
-}
-
-namespace {
-
-/// Hashes a freshly rendered post-mutation subtree line by line (the dirty
-/// path; rendering dominates, so per-line FNV calls are immaterial here).
-void renderFresh(const Node& n, int depth, std::vector<NodeId>& chain,
-                 std::uint64_t& h) {
-  const std::string line = printNodeLine(n, depth, chain);
-  h = fnv1a(line.data(), line.size(), h);
-  if (n.isScope()) {
-    chain.push_back(n.id);
-    for (const auto& c : n.children) renderFresh(c, depth + 1, chain, h);
-    chain.pop_back();
+std::string TextSplice::apply(std::string_view base) const {
+  std::string out;
+  std::uint32_t pos = 0;
+  for (const TextEdit& e : edits) {
+    out.append(base.substr(pos, e.begin - pos));
+    out.append(bytes.substr(e.off, e.len));
+    pos = e.end;
   }
+  out.append(base.substr(pos));
+  return out;
 }
 
-}  // namespace
+std::uint64_t CanonicalArena::hashBase(std::uint32_t begin, std::uint32_t end,
+                                       std::uint64_t h) const {
+  const auto header_len = static_cast<std::uint32_t>(header_.size());
+  if (begin < header_len) {
+    const std::uint32_t e = std::min(end, header_len);
+    h = fnv1a(header_.data() + begin, e - begin, h);
+    begin = e;
+  }
+  if (end > begin)
+    h = fnv1a(text_.data() + (begin - header_len), end - begin, h);
+  return h;
+}
+
+std::uint64_t CanonicalArena::fullRender(const Program& q) const {
+  render_buf_ = canonicalText(q);
+  edits_.assign(1, {0, static_cast<std::uint32_t>(header_.size() + text_.size()),
+                    0, static_cast<std::uint32_t>(render_buf_.size())});
+  return fnv1a(render_buf_.data(), render_buf_.size());
+}
 
 void CanonicalArena::rebase(const Program& q, const MutationSummary& mut) {
   if (!bound_ || mut.whole_tree || containsId(mut.dirty_scopes, q.root.id)) {
@@ -235,6 +245,8 @@ void CanonicalArena::rebase(const Program& q, const MutationSummary& mut) {
 
 std::uint64_t CanonicalArena::probe(const Program& q,
                                     const MutationSummary& mut) const {
+  edits_.clear();
+  render_buf_.clear();
   if (!bound_ || mut.whole_tree || containsId(mut.dirty_scopes, q.root.id))
     return fullRender(q);
 
@@ -249,39 +261,53 @@ std::uint64_t CanonicalArena::probe(const Program& q,
   }
   std::sort(dirty_slots_.begin(), dirty_slots_.end());
 
-  std::uint64_t h;
-  if (mut.buffers_changed) {
-    const std::string header = canonicalHeaderText(q);
-    h = fnv1a(header.data(), header.size());
-  } else {
-    h = fnv1a(header_.data(), header_.size());
-  }
-
-  // The splice walk. Clean slab bytes accumulate into [run_begin, run_end)
-  // and are hashed in one FNV call per maximal contiguous run; runs break
-  // only at dirty subtrees (whose rendered bytes replace the base bytes).
-  std::uint32_t run_begin = 0, run_end = 0;
-  auto flush = [&] {
-    if (run_end > run_begin)
-      h = fnv1a(text_.data() + run_begin, run_end - run_begin, h);
-    run_begin = run_end = 0;
-  };
-  auto extend = [&](std::uint32_t b, std::uint32_t e) {
-    if (run_end == run_begin) {
-      run_begin = b;
-      run_end = e;
-    } else if (b == run_end) {
-      run_end = e;
-    } else {
-      flush();
-      run_begin = b;
-      run_end = e;
+  // The splice walk, in base text coordinates (header, then slab). Kept
+  // base bytes advance `cursor`; rendered bytes append to render_buf_.
+  // Whenever a kept range does not start at the cursor, or bytes were
+  // rendered since the last edit, the gap becomes one edit. A kept range
+  // behind the cursor (a report whose clean regions moved) cannot be
+  // spelled as edits, so the probe falls back to a full render.
+  const auto header_len = static_cast<std::uint32_t>(header_.size());
+  const auto base_len = header_len + static_cast<std::uint32_t>(text_.size());
+  std::uint32_t cursor = 0, pending = 0;
+  bool ordered = true;
+  auto cut = [&](std::uint32_t upto) {
+    const auto len = static_cast<std::uint32_t>(render_buf_.size()) - pending;
+    if (upto > cursor || len > 0) {
+      edits_.push_back({cursor, upto, pending, len});
+      pending += len;
     }
   };
+  auto keep = [&](std::uint32_t b, std::uint32_t e) {
+    if (b < cursor) {
+      ordered = false;
+      return;
+    }
+    cut(b);
+    cursor = e;
+  };
+  // Keeps the slab bytes [b, e).
+  auto keepSlab = [&](std::uint32_t b, std::uint32_t e) {
+    keep(header_len + b, header_len + e);
+  };
+  if (mut.buffers_changed)
+    render_buf_ += canonicalHeaderText(q);
+  else
+    keep(0, header_len);
+
   // True iff any dirty root's slot lies inside the half-open slot interval.
   auto dirtyIn = [&](std::uint32_t begin, std::uint32_t end) {
     auto it = std::lower_bound(dirty_slots_.begin(), dirty_slots_.end(), begin);
     return it != dirty_slots_.end() && *it < end;
+  };
+  // Renders a post-mutation subtree into the splice buffer.
+  auto render = [&](auto&& self, const Node& n, int depth) -> void {
+    render_buf_ += printNodeLine(n, depth, chain_buf_);
+    if (n.isScope()) {
+      chain_buf_.push_back(n.id);
+      for (const auto& c : n.children) self(self, c, depth + 1);
+      chain_buf_.pop_back();
+    }
   };
 
   chain_buf_.clear();
@@ -289,18 +315,15 @@ std::uint64_t CanonicalArena::probe(const Program& q,
     if (containsId(mut.dirty_scopes, n.id)) {
       // Dirty root: the base bytes of this subtree are replaced by a fresh
       // render of the post-mutation subtree.
-      flush();
-      renderFresh(n, depth, chain_buf_, h);
+      render(render, n, depth);
       return;
     }
     const std::int32_t slot = slotOf(n.id);
     if (slot < 0) {
       // A clean node the base never had — outside the reported subtrees, so
-      // the report is inadequate; render it fresh (always byte-correct) and
-      // keep going.
-      flush();
-      const std::string line = printNodeLine(n, depth, chain_buf_);
-      h = fnv1a(line.data(), line.size(), h);
+      // the report is inadequate; render its line fresh (always byte-correct)
+      // and keep going.
+      render_buf_ += printNodeLine(n, depth, chain_buf_);
       if (n.isScope()) {
         chain_buf_.push_back(n.id);
         for (const auto& c : n.children) self(self, c, depth + 1);
@@ -312,20 +335,31 @@ std::uint64_t CanonicalArena::probe(const Program& q,
     if (!dirtyIn(static_cast<std::uint32_t>(slot), end)) {
       // Clean subtree with no dirty root inside: by the MutationSummary
       // contract nothing in it was created, destroyed, moved or re-rendered,
-      // so its slab bytes are the post-mutation bytes verbatim. One interval
-      // extension covers the whole subtree — no descent.
-      extend(line_begin_[slot], line_begin_[end]);
+      // so its slab bytes are the post-mutation bytes verbatim — kept whole,
+      // no descent.
+      keepSlab(line_begin_[slot], line_begin_[end]);
       return;
     }
-    // Own line clean, dirt strictly below: splice the line, descend.
-    extend(line_begin_[slot], line_begin_[slot + 1]);
+    // Own line clean, dirt strictly below: keep the line, descend.
+    keepSlab(line_begin_[slot], line_begin_[slot + 1]);
     chain_buf_.push_back(n.id);
     for (const auto& c : n.children) self(self, c, depth + 1);
     chain_buf_.pop_back();
   };
   for (const auto& c : q.root.children) walk(walk, c, 0);
-  flush();
-  return h;
+  if (!ordered) return fullRender(q);
+  cut(base_len);
+
+  // FNV is sequential: hashing the kept base ranges and the rendered bytes
+  // in text order is fnv1a of the spliced text.
+  std::uint64_t h = kFnvOffsetBasis;
+  std::uint32_t pos = 0;
+  for (const TextEdit& e : edits_) {
+    h = hashBase(pos, e.begin, h);
+    h = fnv1a(render_buf_.data() + e.off, e.len, h);
+    pos = e.end;
+  }
+  return hashBase(pos, base_len, h);
 }
 
 }  // namespace perfdojo::ir

@@ -13,18 +13,27 @@
 //   * the canonical tree text lives in ONE contiguous slab (`text_`), with
 //     per-slot byte offsets. Because slots are pre-order, the bytes of any
 //     subtree are one contiguous range: [line_begin(s), line_begin(subtree_end(s))).
-//   * probe() SPLICES instead of walking: clean regions between dirty
-//     subtrees are hashed as single fnv1a calls over slab byte ranges; only
-//     the reported-dirty subtrees of the mutated tree are rendered (into a
-//     reused scratch buffer — zero steady-state allocation). The walk visits
-//     only the ancestor spine of the dirty roots, never the clean interior.
+//   * probe() SPLICES instead of walking: only the reported-dirty subtrees
+//     of the mutated tree are rendered (into one reused byte buffer), and
+//     the candidate text is recorded as edits of the base text; clean
+//     regions between the edits are hashed as single fnv1a calls over slab
+//     byte ranges. The walk visits only the ancestor spine of the dirty
+//     roots, never the clean interior.
 //
-// The invariant is the same non-negotiable one the whole evaluation layer
-// keys on, enforced by the property suite and the fuzzer's arena oracle:
+// The invariants are the same non-negotiable ones the whole evaluation
+// layer keys on, enforced by the property suite and the fuzzer's arena
+// oracle:
 //
 //   hash() == fnv1a(canonicalText(p))          after bind(p)
+//   text() == canonicalText(p)                 after bind(p)
 //   probe(q, mut) == fnv1a(canonicalText(q))   for any adequately-reported
 //                                              mutation p -> q
+//   splice().apply(text()) == canonicalText(q) after that probe, for ANY
+//                                              report (a wrong one only
+//                                              costs a full-text edit)
+//
+// The splice is what lets a consumer of the candidate text (the prior's
+// n-gram features) pay for the dirty bytes instead of the whole program.
 //
 // The arena is strictly read-only after bind(): probe() commits nothing, so
 // a caller that mutates-probes-undoes (search::Neighborhood) never has to
@@ -33,7 +42,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/program.h"
@@ -41,6 +52,25 @@
 namespace perfdojo::ir {
 
 struct MutationSummary;
+
+/// One replaced range of a base text: bytes [begin, end) of the base become
+/// the `len` replacement bytes at `off` in the splice's byte buffer.
+struct TextEdit {
+  std::uint32_t begin = 0;
+  std::uint32_t end = 0;
+  std::uint32_t off = 0;
+  std::uint32_t len = 0;
+};
+
+/// A candidate text spelled as edits of a base text. Edits are sorted and
+/// disjoint, and at least one kept base byte separates two edits.
+struct TextSplice {
+  std::span<const TextEdit> edits;
+  std::string_view bytes;  // replacement bytes, addressed by TextEdit::off
+
+  /// The candidate text: `base` with every edit applied.
+  std::string apply(std::string_view base) const;
+};
 
 class CanonicalArena {
  public:
@@ -59,10 +89,18 @@ class CanonicalArena {
 
   /// fnv1a(canonicalText(q)) for a program `q` mutated *away from* the bound
   /// one as described by `mut`, computed read-only: clean regions are hashed
-  /// straight from the slab, dirty subtrees are rendered on the fly and
-  /// discarded. Falls back to a full render for conservative summaries (or a
-  /// report naming nodes the arena has never seen).
+  /// straight from the slab, dirty subtrees are rendered into the splice
+  /// buffer. Falls back to a full render for conservative summaries (or a
+  /// report naming nodes the arena has never seen, or one whose clean
+  /// regions come out of base order).
   std::uint64_t probe(const Program& q, const MutationSummary& mut) const;
+
+  /// canonicalText(q) of the last probe(q, ...) as edits of text(): one
+  /// edit for the header when the buffers changed, one per dirty subtree
+  /// (edits with no kept byte between them are one edit), or one whole-text
+  /// edit when the probe fell back to a full render. A view into reused
+  /// scratch: valid until the next probe(), rebase() or bind().
+  TextSplice splice() const { return {edits_, render_buf_}; }
 
   /// Re-binds the arena IN PLACE to a program `q` mutated *away from* the
   /// bound one — the accepted-move path. Columns and slab bytes of clean
@@ -102,11 +140,15 @@ class CanonicalArena {
     return text_.substr(line_begin_[slot],
                         line_begin_[subtree_end_[slot]] - line_begin_[slot]);
   }
-  /// Full canonical text reassembled from the slab (testing aid).
+  /// Full canonical text reassembled from the slab: the base text splice()
+  /// edits are positioned against.
   std::string text() const { return header_ + text_; }
 
  private:
   std::uint64_t fullRender(const Program& q) const;
+  /// Continues `h` over the base text bytes [begin, end) (header + slab).
+  std::uint64_t hashBase(std::uint32_t begin, std::uint32_t end,
+                         std::uint64_t h) const;
 
   // SoA columns, all indexed by pre-order slot. line_begin_ has one extra
   // sentinel entry (== text_.size()) so subtree byte ranges need no special
@@ -126,11 +168,13 @@ class CanonicalArena {
   std::uint64_t hash_ = 0;
   bool bound_ = false;
 
-  // Reused per-probe scratch (rendered dirty lines, dirty slot list, iterator
-  // chains). probe() is logically const; these make it allocation-free in
-  // steady state. A CanonicalArena is not safe for concurrent probes — each
-  // thread owns its own instance (matching Neighborhood's contract).
+  // Reused per-probe scratch (the splice: rendered dirty bytes and their
+  // edits; dirty slot list, iterator chains). probe() is logically const;
+  // these make it allocation-free in steady state apart from the rendered
+  // lines themselves. A CanonicalArena is not safe for concurrent probes —
+  // each thread owns its own instance (matching Neighborhood's contract).
   mutable std::string render_buf_;
+  mutable std::vector<TextEdit> edits_;
   mutable std::vector<std::uint32_t> dirty_slots_;
   mutable std::vector<NodeId> chain_buf_;
 };

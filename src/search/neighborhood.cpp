@@ -64,7 +64,7 @@ std::uint64_t Neighborhood::neighborVisit(const transform::Action& a,
     const std::uint64_t h = arena_.probe(scratch_, mut);
     // The scratch tree IS the candidate right now; let the caller price it
     // in place before the undo recycles its storage.
-    if (visit) visit(h, scratch_);
+    if (visit) visit(h, scratch_, arena_.splice());
     undo(mut);
     return h;
   } catch (...) {

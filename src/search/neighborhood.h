@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "ir/arena.h"
@@ -71,6 +72,9 @@ class Neighborhood {
 
   const ir::Program& base() const { return base_; }
   std::uint64_t baseHash() const { return base_hash_; }
+  /// canonicalText(base()), reassembled from the canonical form: the text a
+  /// visited neighbor's splice edits.
+  std::string baseText() const { return arena_.text(); }
 
   /// The base's applicable actions: element-identical to
   /// transform::allActions(base(), caps). Invalidated by bind() and accept().
@@ -87,10 +91,11 @@ class Neighborhood {
   std::uint64_t neighborHash(const transform::Action& a);
 
   /// Read-only visitor over a live neighbor: (canonical hash, the mutated
-  /// scratch tree). The program reference is valid only for the duration of
-  /// the call — the undo that follows reuses its storage.
-  using NeighborVisitor =
-      std::function<void(std::uint64_t, const ir::Program&)>;
+  /// scratch tree, its canonical text as a splice of baseText()). Both
+  /// references are valid only for the duration of the call — the undo and
+  /// the next probe reuse their storage.
+  using NeighborVisitor = std::function<void(
+      std::uint64_t, const ir::Program&, const ir::TextSplice&)>;
 
   /// neighborHash() that additionally hands the mutated scratch tree to
   /// `visit` between the probe and the undo. The visited program is

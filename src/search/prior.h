@@ -10,8 +10,11 @@
 // a wrong prior can waste evaluations but can never corrupt a reported cost.
 //
 // Inference is a pure function of (model file, canonical text): no RNG, no
-// caches, no thread-count dependence — scoring happens on the search decision
-// thread and two processes loading the same model file score bit-identically.
+// thread-count dependence — scoring happens on the search decision thread and
+// two processes loading the same model file score bit-identically. The search
+// gate builds each neighbor's features from its state's base counts plus the
+// arena probe's splice (rl::TextEmbedder::applySplice); the counts are exact
+// integers, so those features equal features(canonical text) bit for bit.
 // The model file itself is versioned, locale-free (support/numeric
 // shortest-round-trip formatting, so save -> load -> save is bit-identical)
 // and written atomically.
@@ -52,6 +55,10 @@ class PriorModel {
   /// Embedding features of a canonical program text (L2-normalized hashed
   /// n-grams, rl::TextEmbedder). Pure and thread-safe.
   std::vector<double> features(const std::string& canonical_text) const;
+
+  /// The model's feature map, for callers that maintain counts under edits
+  /// (embedder().embed(t) == features(t)).
+  const rl::TextEmbedder& embedder() const { return embedder_; }
 
   /// Predicted cost score for one feature vector: the standardized log-cost
   /// the MLP was fit to. Monotone in predicted runtime — ranking on it is

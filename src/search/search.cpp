@@ -324,18 +324,26 @@ class PriorGate {
     active_ = prior_ != nullptr && prior_->valid() && topk_ > 0;
   }
 
-  /// Rescores for the state `nb` is bound to, rendering each neighbor in
-  /// place on its scratch tree.
+  /// Rescores for the state `nb` is bound to. The base text is counted
+  /// once; each neighbor's counts are the base counts with only the n-grams
+  /// around its probe splice recounted. The counts are integers, so every
+  /// score equals predict(features(canonicalText(neighbor))) bit for bit.
   void rebind(Neighborhood& nb) {
     const std::vector<Action>& actions = nb.actions();
     scores_.clear();
     allowed_.resize(actions.size());
     for (std::size_t i = 0; i < allowed_.size(); ++i) allowed_[i] = i;
     if (!active_ || actions.size() <= topk_) return;
+    const rl::TextEmbedder& emb = prior_->embedder();
+    base_text_ = nb.baseText();
+    base_counts_ = emb.counts(base_text_);
     scores_.resize(actions.size());
     for (std::size_t i = 0; i < actions.size(); ++i)
-      nb.neighborVisit(actions[i], [&](std::uint64_t, const ir::Program& q) {
-        scores_[i] = prior_->predict(prior_->features(ir::canonicalText(q)));
+      nb.neighborVisit(actions[i], [&](std::uint64_t, const ir::Program&,
+                                       const ir::TextSplice& splice) {
+        counts_ = base_counts_;
+        emb.applySplice(base_text_, splice, counts_);
+        scores_[i] = prior_->predict(emb.normalize(counts_));
       });
     allowed_ = PriorModel::topK(scores_, topk_);
     tr_.prior_filtered +=
@@ -362,6 +370,8 @@ class PriorGate {
   bool active_ = false;
   std::vector<double> scores_;
   std::vector<std::size_t> allowed_;
+  std::string base_text_;
+  std::vector<std::int64_t> base_counts_, counts_;
 };
 
 /// Runtimes stored in sampling pools feed 1/runtime draw weights; one NaN or
@@ -491,7 +501,8 @@ void annealingEdges(const ir::Program& kernel, const machines::Machine& m,
       // probe pass already applied it, so a memo miss evaluates the model in
       // place instead of paying a.apply(cur) (a full base copy plus a
       // second, validated apply).
-      nb.neighborVisit(actions[ai], [&](std::uint64_t h, const ir::Program& q) {
+      nb.neighborVisit(actions[ai], [&](std::uint64_t h, const ir::Program& q,
+                                        const ir::TextSplice&) {
         rt = ev.costInPlace(h, q);
       });
       action_cost[ai] = rt;

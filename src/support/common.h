@@ -29,20 +29,24 @@ inline void require(bool cond, const char* msg) {
   if (!cond) fail(msg);
 }
 
+constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ull;
+
+/// One FNV-1a byte step: fnv1a(d, n + 1, s) == fnv1aStep(fnv1a(d, n, s), d[n]).
+inline std::uint64_t fnv1aStep(std::uint64_t h, unsigned char c) {
+  return (h ^ c) * 1099511628211ull;
+}
+
 /// 64-bit FNV-1a, used for canonical-program hashing and the feature hasher.
 inline std::uint64_t fnv1a(const void* data, std::size_t n,
-                           std::uint64_t seed = 1469598103934665603ull) {
+                           std::uint64_t seed = kFnvOffsetBasis) {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint64_t h = seed;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
+  for (std::size_t i = 0; i < n; ++i) h = fnv1aStep(h, p[i]);
   return h;
 }
 
 inline std::uint64_t fnv1a(const std::string& s,
-                           std::uint64_t seed = 1469598103934665603ull) {
+                           std::uint64_t seed = kFnvOffsetBasis) {
   return fnv1a(s.data(), s.size(), seed);
 }
 

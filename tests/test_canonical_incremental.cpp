@@ -7,6 +7,7 @@
 // rebase) and with seeded random trajectories (multi-step, History
 // push/undo + Neighborhood hash/undo), plus the conservative-fallback and
 // header-only paths.
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -181,6 +182,95 @@ TEST(IncrementalCanonical, DefaultApplyInPlaceReportsConservatively) {
   EXPECT_TRUE(mut.buffers_changed);
   CanonicalArena arena(p);
   expectProbeAndRebaseExact(arena, q, mut, t.name());
+}
+
+// --- The probe's splice: the candidate text as edits of the base text ------
+
+/// Requires the last probe's splice to rebuild canonicalText(q) from the
+/// base text, with sorted edits separated by kept bytes.
+void expectSpliceExact(const CanonicalArena& arena, const Program& q,
+                       const std::string& what) {
+  const TextSplice s = arena.splice();
+  const std::string base = arena.text();
+  ASSERT_EQ(s.apply(base), canonicalText(q)) << what;
+  for (std::size_t i = 0; i < s.edits.size(); ++i) {
+    const TextEdit& e = s.edits[i];
+    ASSERT_LE(e.begin, e.end) << what;
+    ASSERT_LE(e.end, base.size()) << what;
+    ASSERT_LE(e.off + e.len, s.bytes.size()) << what;
+    if (i > 0) {
+      EXPECT_LT(s.edits[i - 1].end, e.begin) << what;
+    }
+  }
+}
+
+TEST(Arena, SpliceRebuildsEverySingleStepNeighbor) {
+  // Header edits stay inside the header and tree edits inside the slab; a
+  // dirty root container is one whole-text edit.
+  const Program p = kernels::makeSoftmax(4, 8);
+  const auto& caps = machines::xeon().caps();
+  const CanonicalArena arena(p);
+  const auto header_len =
+      static_cast<std::uint32_t>(canonicalHeaderText(p).size());
+  std::size_t header_edits = 0, tree_edits = 0;
+  for (const auto& a : transform::allActions(p, caps)) {
+    Program q = p;
+    MutationSummary mut;
+    a.transform->applyInPlace(q, a.loc, &mut);
+    ASSERT_EQ(arena.probe(q, mut), groundTruth(q)) << a.describe(p);
+    expectSpliceExact(arena, q, a.describe(p));
+    const TextSplice s = arena.splice();
+    ASSERT_FALSE(s.edits.empty()) << a.describe(p);
+    const bool root_dirty =
+        std::find(mut.dirty_scopes.begin(), mut.dirty_scopes.end(),
+                  q.root.id) != mut.dirty_scopes.end();
+    if (mut.whole_tree || root_dirty) {
+      ASSERT_EQ(s.edits.size(), 1u) << a.describe(p);
+      EXPECT_EQ(s.bytes, canonicalText(q)) << a.describe(p);
+    } else if (mut.buffers_changed && mut.dirty_scopes.empty()) {
+      ASSERT_EQ(s.edits.size(), 1u) << a.describe(p);
+      EXPECT_LE(s.edits[0].end, header_len) << a.describe(p);
+      ++header_edits;
+    } else if (!mut.buffers_changed) {
+      for (const TextEdit& e : s.edits)
+        EXPECT_GE(e.begin, header_len) << a.describe(p);
+      ++tree_edits;
+    }
+  }
+  EXPECT_GT(header_edits, 0u);
+  EXPECT_GT(tree_edits, 0u);
+}
+
+TEST(Arena, SpliceFallbackIsOneWholeTextEdit) {
+  const Program p = kernels::makeSoftmax(4, 8);
+  const CanonicalArena arena(p);
+  const auto base_len = static_cast<std::uint32_t>(arena.text().size());
+  auto expectWholeText = [&](const Program& q, const MutationSummary& mut,
+                             const std::string& what) {
+    ASSERT_EQ(arena.probe(q, mut), groundTruth(q)) << what;
+    const TextSplice s = arena.splice();
+    ASSERT_EQ(s.edits.size(), 1u) << what;
+    EXPECT_EQ(s.edits[0].begin, 0u) << what;
+    EXPECT_EQ(s.edits[0].end, base_len) << what;
+    EXPECT_EQ(s.bytes, canonicalText(q)) << what;
+    expectSpliceExact(arena, q, what);
+  };
+
+  // A conservative report.
+  const UnreportedScopeDoubler doubler;
+  Program q = p;
+  MutationSummary mut = MutationSummary::none();
+  doubler.applyInPlace(q, doubler.findApplicable(p, {})[0], &mut);
+  ASSERT_TRUE(mut.whole_tree);
+  expectWholeText(q, mut, "whole-tree report");
+
+  // A report under which clean subtrees come out of base order (two root
+  // loops swapped, nothing reported): the edits cannot spell it, so the
+  // probe renders in full and still hashes the true text.
+  Program swapped = p;
+  ASSERT_GE(swapped.root.children.size(), 2u);
+  std::swap(swapped.root.children[0], swapped.root.children[1]);
+  expectWholeText(swapped, MutationSummary::none(), "out-of-order report");
 }
 
 // --- Random trajectories: the 200-seed property walk per kernel ------------

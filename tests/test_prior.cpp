@@ -13,25 +13,35 @@
 //     scenarios, an inert prior (topk=all) leaves search traces
 //     bit-identical to no-prior runs across threads 1/8, and a gating prior
 //     reproduces its golden SA trace across threads 1/8
+//   - spliced scoring: embed(t) == normalize(counts(t)) bit for bit (and
+//     equals the per-n reference embedder), the windowed count delta equals
+//     a recount at the text's edges and for nearby edit pairs, and along
+//     seeded walks every neighbor's probe splice rebuilds its canonical text
+//     and yields the text path's features exactly
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <clocale>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "golden.h"
+#include "ir/arena.h"
 #include "ir/canonical.h"
 #include "kernels/kernels.h"
 #include "machines/machine.h"
+#include "rl/embedding.h"
+#include "search/neighborhood.h"
 #include "search/prior.h"
 #include "search/prior_train.h"
 #include "search/search.h"
 #include "support/common.h"
 #include "support/io.h"
+#include "support/rng.h"
 #include "support/telemetry.h"
 #include "transform/transform.h"
 
@@ -391,6 +401,169 @@ TEST(Prior, ActiveTopkFiltersAndReportsCoEvolutionStats) {
   EXPECT_LE(r.stats.prior_spearman, 1.0);
   EXPECT_TRUE(std::isfinite(r.best_runtime));
   EXPECT_LE(r.best_runtime, m.evaluate(kernel));
+}
+
+// ---------------------------------------------------------------------------
+// Spliced scoring: the gate's count-delta features against the text path.
+
+/// The embedder as it was written before counts existed: one pass per
+/// n-gram length, each n-gram hashed from scratch, accumulated in doubles.
+std::vector<double> referenceEmbed(const std::string& text, int dim,
+                                   std::uint64_t seed) {
+  std::vector<double> v(static_cast<std::size_t>(dim), 0.0);
+  for (std::size_t n = 3; n <= 5; ++n)
+    for (std::size_t i = 0; i + n <= text.size(); ++i) {
+      const std::uint64_t h = fnv1a(text.data() + i, n, seed);
+      v[h % static_cast<std::uint64_t>(dim)] += ((h >> 32) & 1) ? 1.0 : -1.0;
+    }
+  double norm = 0;
+  for (double x : v) norm += x * x;
+  norm = std::sqrt(norm);
+  if (norm > 0)
+    for (double& x : v) x /= norm;
+  return v;
+}
+
+/// Bitwise equality of two double vectors (EXPECT_EQ on doubles would let
+/// -0.0 == 0.0 through).
+bool sameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+std::string randomText(Rng& rng, std::size_t len) {
+  // A small alphabet, so n-grams repeat and bucket counts cancel.
+  static const char kAlphabet[] = "ab|[{0}] \n=+*";
+  std::string t;
+  for (std::size_t i = 0; i < len; ++i)
+    t += kAlphabet[rng.uniform(sizeof(kAlphabet) - 1)];
+  return t;
+}
+
+TEST(Prior, EmbedEqualsNormalizedCountsBitForBit) {
+  Rng rng(0xC0FFEE);
+  for (const auto& [dim, seed] :
+       {std::pair<int, std::uint64_t>{48, 0xE5CAFE}, {7, 1}, {64, 99}}) {
+    const rl::TextEmbedder emb(dim, seed);
+    for (std::size_t len = 0; len < 160; ++len) {
+      const std::string t = randomText(rng, len);
+      const auto counted = rl::TextEmbedder::normalize(emb.counts(t));
+      ASSERT_TRUE(sameBits(emb.embed(t), counted)) << "len=" << len;
+      ASSERT_TRUE(sameBits(referenceEmbed(t, dim, seed), counted))
+          << "len=" << len;
+    }
+  }
+  // Texts too short for any n-gram embed to the zero vector.
+  const rl::TextEmbedder emb;
+  for (const char* t : {"", "a", "ab"})
+    EXPECT_EQ(emb.counts(t), std::vector<std::int64_t>(48, 0));
+}
+
+TEST(Prior, SpliceDeltaEqualsRecountAtTextEdges) {
+  const rl::TextEmbedder emb;
+  const std::string base =
+      "kernel k\nbuffer x f32 [8]\nin x\nout x\n\n8\n| x[{0}] = relu x[{0}]\n";
+  const auto n = static_cast<std::uint32_t>(base.size());
+  struct Case {
+    std::string what;
+    std::vector<ir::TextEdit> edits;
+    std::string bytes;
+  };
+  std::vector<Case> cases = {
+      {"replace byte 0", {{0, 1, 0, 2}}, "KK"},
+      {"insert at byte 0", {{0, 0, 0, 3}}, "xyz"},
+      {"delete byte 0", {{0, 1, 0, 0}}, ""},
+      {"replace the last byte", {{n - 1, n, 0, 1}}, "Z"},
+      {"append at the end", {{n, n, 0, 4}}, "tail"},
+      {"inside the header", {{12, 18, 0, 5}}, "y f64"},
+      {"whole text", {{0, n, 0, 6}}, "other\n"},
+      {"whole text deleted", {{0, n, 0, 0}}, ""},
+      {"whole text, unchanged", {{0, n, 0, n}}, base},
+      // Replacements that repeat their base bytes at the ends: the window
+      // is the changed middle, and an unchanged edit contributes nothing.
+      {"shared ends", {{20, 34, 0, 14}},
+       base.substr(20, 5) + "XYZW" + base.substr(29, 5)},
+      {"unchanged edit next to a changed one",
+       {{20, 26, 0, 6}, {27, 28, 6, 2}}, base.substr(20, 6) + "QQ"},
+  };
+  for (std::uint32_t gap = 1; gap <= 6; ++gap)
+    cases.push_back({"two edits " + std::to_string(gap) + " bytes apart",
+                     {{20, 22, 0, 3}, {22 + gap, 25 + gap, 3, 1}},
+                     "abcd"});
+  Rng rng(17);
+  for (int r = 0; r < 300; ++r) {
+    // Random sorted disjoint edits with gaps of 1..6 kept bytes.
+    Case c{"random " + std::to_string(r), {}, ""};
+    std::uint32_t pos = static_cast<std::uint32_t>(rng.uniform(6));
+    while (pos < n) {
+      const auto len = static_cast<std::uint32_t>(
+          std::min<std::uint64_t>(rng.uniform(9), n - pos));
+      // Half the replacements rewrite one byte of the replaced range, so
+      // they share leading and trailing bytes with the base.
+      std::string ins = base.substr(pos, len);
+      if (rng.uniform(2) == 0 || ins.empty())
+        ins = randomText(rng, rng.uniform(6));
+      else
+        ins[rng.uniform(ins.size())] = '#';
+      c.edits.push_back({pos, pos + len,
+                         static_cast<std::uint32_t>(c.bytes.size()),
+                         static_cast<std::uint32_t>(ins.size())});
+      c.bytes += ins;
+      pos += len + 1 + static_cast<std::uint32_t>(rng.uniform(6));
+    }
+    cases.push_back(std::move(c));
+  }
+  for (const Case& c : cases) {
+    const ir::TextSplice splice{c.edits, c.bytes};
+    std::vector<std::int64_t> counts = emb.counts(base);
+    emb.applySplice(base, splice, counts);
+    EXPECT_EQ(counts, emb.counts(splice.apply(base))) << c.what;
+  }
+}
+
+TEST(Prior, SplicedFeaturesMatchTextPathAlongWalks) {
+  // Short seeded walks on every Table-3 kernel x the four machines: at each
+  // state, every action's probe splice applied to the base text must be the
+  // copy pipeline's canonical text byte for byte, and the gate's spliced
+  // features (base counts + applySplice) must equal features(text) exactly.
+  const PriorModel prior = PriorModel::load(
+      std::string(PD_GOLDEN_DIR) + "/prior_softmax_xeon.txt");
+  ASSERT_TRUE(prior.valid());
+  const rl::TextEmbedder& emb = prior.embedder();
+  std::size_t checked = 0, multi_edit = 0;
+  for (const auto& k : kernels::table3()) {
+    for (const auto* m : {&machines::xeon(), &machines::gh200(),
+                          &machines::mi300a(), &machines::snitch()}) {
+      Rng rng(fnv1a(k.label + m->name()));
+      search::Neighborhood nb;
+      nb.bind(k.build(), m->caps());
+      for (int step = 0; step < 3 && !nb.actions().empty(); ++step) {
+        const std::string base_text = nb.baseText();
+        ASSERT_EQ(base_text, ir::canonicalText(nb.base())) << k.label;
+        const std::vector<std::int64_t> base_counts = emb.counts(base_text);
+        for (const auto& a : nb.actions()) {
+          std::string spliced;
+          std::vector<std::int64_t> counts = base_counts;
+          nb.neighborVisit(a, [&](std::uint64_t, const ir::Program&,
+                                  const ir::TextSplice& s) {
+            spliced = s.apply(base_text);
+            emb.applySplice(base_text, s, counts);
+            if (s.edits.size() > 1) ++multi_edit;
+          });
+          const std::string text = ir::canonicalText(a.apply(nb.base()));
+          const std::string what =
+              k.label + " on " + m->name() + ": " + a.describe(nb.base());
+          ASSERT_EQ(spliced, text) << what;
+          const std::vector<double> want = prior.features(text);
+          EXPECT_EQ(rl::TextEmbedder::normalize(counts), want) << what;
+          ++checked;
+        }
+        nb.accept(nb.actions()[rng.uniform(nb.actions().size())]);
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+  EXPECT_GT(multi_edit, 0u);  // some neighbors splice more than one region
 }
 
 }  // namespace
